@@ -40,6 +40,7 @@
 #include "core/ProfilingSession.h"
 #include "leap/LeapProfileData.h"
 #include "session/ProfileSession.h"
+#include "support/Cli.h"
 #include "support/LogSink.h"
 #include "support/ParseNumber.h"
 #include "support/TablePrinter.h"
@@ -57,6 +58,7 @@
 #include <string>
 
 using namespace orp;
+using support::flagValue;
 using support::LogLevel;
 using support::logMessage;
 
@@ -86,14 +88,9 @@ struct Options {
 bool parseArgs(int Argc, char **Argv, Options &Opt) {
   for (int I = 1; I != Argc; ++I) {
     std::string Arg = Argv[I];
-    auto Value = [&](const char *Prefix) -> const char * {
-      size_t Len = std::strlen(Prefix);
-      return Arg.compare(0, Len, Prefix) == 0 ? Arg.c_str() + Len
-                                              : nullptr;
-    };
     if (Arg[0] != '-') {
       Opt.Workload = Arg;
-    } else if (const char *V = Value("--alloc=")) {
+    } else if (const char *V = flagValue(Arg, "--alloc=")) {
       if (!std::strcmp(V, "first-fit"))
         Opt.Policy = memsim::AllocPolicy::FirstFit;
       else if (!std::strcmp(V, "best-fit"))
@@ -104,19 +101,19 @@ bool parseArgs(int Argc, char **Argv, Options &Opt) {
         Opt.Policy = memsim::AllocPolicy::Segregated;
       else
         return false;
-    } else if (const char *V = Value("--seed=")) {
+    } else if (const char *V = flagValue(Arg, "--seed=")) {
       if (!support::parseUint64(V, Opt.Seed))
         return false;
-    } else if (const char *V = Value("--env=")) {
+    } else if (const char *V = flagValue(Arg, "--env=")) {
       if (!support::parseUint64(V, Opt.EnvSeed))
         return false;
-    } else if (const char *V = Value("--scale=")) {
+    } else if (const char *V = flagValue(Arg, "--scale=")) {
       if (!support::parseUint64(V, Opt.Scale))
         return false;
-    } else if (const char *V = Value("--lmads=")) {
+    } else if (const char *V = flagValue(Arg, "--lmads=")) {
       if (!support::parseUnsigned(V, Opt.MaxLmads))
         return false;
-    } else if (const char *V = Value("--threads=")) {
+    } else if (const char *V = flagValue(Arg, "--threads=")) {
       if (!support::parseUnsigned(V, Opt.Threads) || Opt.Threads == 0)
         return false;
     } else if (Arg == "--version") {
@@ -133,14 +130,14 @@ bool parseArgs(int Argc, char **Argv, Options &Opt) {
       Opt.Mdf = Opt.RunLeap = true;
     } else if (Arg == "--strides") {
       Opt.Strides = Opt.RunLeap = true;
-    } else if (const char *V = Value("--record=")) {
+    } else if (const char *V = flagValue(Arg, "--record=")) {
       Opt.RecordPath = V;
-    } else if (const char *V = Value("--metrics=")) {
+    } else if (const char *V = flagValue(Arg, "--metrics=")) {
       Opt.MetricsPath = V;
-    } else if (const char *V = Value("--metrics-interval=")) {
+    } else if (const char *V = flagValue(Arg, "--metrics-interval=")) {
       if (!support::parseUint64(V, Opt.MetricsInterval))
         return false;
-    } else if (const char *V = Value("--metrics-format=")) {
+    } else if (const char *V = flagValue(Arg, "--metrics-format=")) {
       if (!std::strcmp(V, "json"))
         Opt.MetricsFormat = telemetry::SnapshotFormat::Json;
       else if (!std::strcmp(V, "json-lines"))

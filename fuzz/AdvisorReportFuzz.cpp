@@ -13,24 +13,17 @@
 #include "FuzzTarget.h"
 
 #include "advisor/AdvisorReport.h"
-#include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io): fuzz framing
 
 #include <string>
 
 using namespace orp;
 
-/// Frames \p Payload with a valid .orpa header (magic, version, CRC) so
-/// the payload decoder itself is reached.
+/// Frames \p Payload with a valid .orpa header so the payload decoder
+/// itself is reached.
 static std::vector<uint8_t> wrapAsOrpa(const uint8_t *Payload, size_t Size) {
-  std::vector<uint8_t> Bytes;
-  Bytes.reserve(advisor::AdvisorReport::kHeaderSize + Size);
-  Bytes.insert(Bytes.end(), advisor::AdvisorReport::kMagic,
-               advisor::AdvisorReport::kMagic + 4);
-  Bytes.push_back(advisor::AdvisorReport::kFormatVersion);
-  appendLE32(crc32(Payload, Size), Bytes);
-  Bytes.insert(Bytes.end(), Payload, Payload + Size);
-  return Bytes;
+  return fuzz::frameArtifact(advisor::AdvisorReport::kMagic,
+                             advisor::AdvisorReport::kFormatVersion, Payload,
+                             Size);
 }
 
 static void checkOneImage(const std::vector<uint8_t> &Bytes) {

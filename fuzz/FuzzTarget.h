@@ -26,6 +26,8 @@
 #ifndef ORP_FUZZ_FUZZTARGET_H
 #define ORP_FUZZ_FUZZTARGET_H
 
+#include "support/ArtifactFrame.h"
+
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -56,6 +58,20 @@ namespace fuzz {
                "fuzz property violated: %s\n  condition: %s\n  at %s:%u\n",
                Msg, Cond, File, Line);
   std::abort();
+}
+
+/// Frames \p Payload under a valid artifact header for \p Magic and
+/// \p Version (support/ArtifactFrame.h), so mutations reach the payload
+/// decoder instead of stopping at the CRC gate.
+inline std::vector<uint8_t> frameArtifact(const char (&Magic)[4],
+                                          uint8_t Version,
+                                          const uint8_t *Payload,
+                                          size_t Size) {
+  std::vector<uint8_t> Bytes;
+  support::beginFrame(Magic, Version, Bytes);
+  Bytes.insert(Bytes.end(), Payload, Payload + Size);
+  support::sealFrame(Bytes);
+  return Bytes;
 }
 
 } // namespace fuzz

@@ -14,24 +14,17 @@
 
 #include "leap/Leap.h"
 #include "leap/LeapProfileData.h"
-#include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io): fuzz framing
 
 #include <string>
 
 using namespace orp;
 
-/// Frames \p Payload with a valid LEAP header (magic, version, CRC) so
-/// the payload decoder itself is reached.
+/// Frames \p Payload with a valid LEAP header so the payload decoder
+/// itself is reached.
 static std::vector<uint8_t> wrapAsLeap(const uint8_t *Payload, size_t Size) {
-  std::vector<uint8_t> Bytes;
-  Bytes.reserve(leap::LeapProfileData::kHeaderSize + Size);
-  Bytes.insert(Bytes.end(), leap::LeapProfileData::kMagic,
-               leap::LeapProfileData::kMagic + 4);
-  Bytes.push_back(leap::LeapProfileData::kFormatVersion);
-  appendLE32(crc32(Payload, Size), Bytes);
-  Bytes.insert(Bytes.end(), Payload, Payload + Size);
-  return Bytes;
+  return fuzz::frameArtifact(leap::LeapProfileData::kMagic,
+                             leap::LeapProfileData::kFormatVersion, Payload,
+                             Size);
 }
 
 static void checkOneImage(const std::vector<uint8_t> &Bytes) {

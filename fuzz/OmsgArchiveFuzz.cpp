@@ -14,8 +14,6 @@
 #include "FuzzTarget.h"
 
 #include "core/ObjectRelative.h"
-#include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io): fuzz framing
 #include "whomp/OmsgArchive.h"
 #include "whomp/OmsgStats.h"
 #include "whomp/Whomp.h"
@@ -23,20 +21,6 @@
 #include <string>
 
 using namespace orp;
-
-/// Frames \p Payload under a valid 4-byte magic + version + CRC header.
-static std::vector<uint8_t> wrapWithHeader(const uint8_t *Magic,
-                                           uint8_t Version,
-                                           const uint8_t *Payload,
-                                           size_t Size) {
-  std::vector<uint8_t> Bytes;
-  Bytes.reserve(9 + Size);
-  Bytes.insert(Bytes.end(), Magic, Magic + 4);
-  Bytes.push_back(Version);
-  appendLE32(crc32(Payload, Size), Bytes);
-  Bytes.insert(Bytes.end(), Payload, Payload + Size);
-  return Bytes;
-}
 
 static void checkArchiveImage(const std::vector<uint8_t> &Bytes) {
   whomp::OmsgArchive Out;
@@ -80,12 +64,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   std::vector<uint8_t> Raw(Data, Data + Size);
   checkArchiveImage(Raw);
   checkStatsImage(Raw);
-  checkArchiveImage(wrapWithHeader(whomp::OmsgArchive::kMagic,
-                                   whomp::OmsgArchive::kFormatVersion, Data,
-                                   Size));
-  checkStatsImage(wrapWithHeader(
-      reinterpret_cast<const uint8_t *>(whomp::OmsgStats::kMagic),
-      whomp::OmsgStats::kFormatVersion, Data, Size));
+  checkArchiveImage(fuzz::frameArtifact(whomp::OmsgArchive::kMagic,
+                                        whomp::OmsgArchive::kFormatVersion,
+                                        Data, Size));
+  checkStatsImage(fuzz::frameArtifact(whomp::OmsgStats::kMagic,
+                                      whomp::OmsgStats::kFormatVersion, Data,
+                                      Size));
   return 0;
 }
 
@@ -111,8 +95,8 @@ std::vector<std::vector<uint8_t>> orpFuzzSeedInputs() {
   Seeds.push_back({'O', 'M', 'S', 'T'});
   Seeds.push_back({'O', 'M', 'S', 'A', 0xff, 0, 0, 0, 0});
   static const uint8_t Empty = 0;
-  Seeds.push_back(wrapWithHeader(whomp::OmsgArchive::kMagic,
-                                 whomp::OmsgArchive::kFormatVersion, &Empty,
-                                 0));
+  Seeds.push_back(fuzz::frameArtifact(whomp::OmsgArchive::kMagic,
+                                      whomp::OmsgArchive::kFormatVersion,
+                                      &Empty, 0));
   return Seeds;
 }

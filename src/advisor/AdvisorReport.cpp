@@ -2,8 +2,7 @@
 
 #include "advisor/AdvisorReport.h"
 
-#include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io)
+#include "support/ArtifactFrame.h"
 #include "support/VarInt.h"
 
 #include <algorithm>
@@ -66,11 +65,7 @@ constexpr uint8_t kFlagPool = 2;
 
 std::vector<uint8_t> AdvisorReport::serialize() const {
   std::vector<uint8_t> Out;
-  Out.reserve(64);
-  for (char C : kMagic)
-    Out.push_back(static_cast<uint8_t>(C));
-  Out.push_back(kFormatVersion);
-  appendLE32(0, Out); // Payload CRC, patched below.
+  support::beginFrame(kMagic, kFormatVersion, Out);
 
   // Re-establish the canonical orders so the image is independent of
   // how the vectors were populated.
@@ -108,97 +103,21 @@ std::vector<uint8_t> AdvisorReport::serialize() const {
     encodeULEB128(P.SharePermille, Out);
     encodeULEB128(P.Distance, Out);
   }
-
-  uint32_t Crc = crc32(Out.data() + kHeaderSize, Out.size() - kHeaderSize);
-  for (unsigned I = 0; I != 4; ++I)
-    Out[5 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+  support::sealFrame(Out);
   return Out;
 }
-
-namespace {
-
-/// Cursor over an untrusted payload: every read is bounds-checked and
-/// the first failure is latched into an error string.
-struct PayloadCursor {
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-  std::string &Err;
-
-  PayloadCursor(const uint8_t *Data, size_t Size, std::string &Err)
-      : Data(Data), Size(Size), Err(Err) {}
-
-  size_t remaining() const { return Size - Pos; }
-
-  bool fail(const char *What, VarIntStatus Status) {
-    Err = std::string("advice report: ") + What + ": " +
-          varIntStatusName(Status) + " varint";
-    return false;
-  }
-
-  [[nodiscard]] bool readU(const char *What, uint64_t &Value) {
-    VarIntStatus S = decodeULEB128Checked(Data, Size, Pos, Value);
-    if (S != VarIntStatus::Ok)
-      return fail(What, S);
-    return true;
-  }
-
-  [[nodiscard]] bool readS(const char *What, int64_t &Value) {
-    VarIntStatus S = decodeSLEB128Checked(Data, Size, Pos, Value);
-    if (S != VarIntStatus::Ok)
-      return fail(What, S);
-    return true;
-  }
-
-  [[nodiscard]] bool readByte(const char *What, uint8_t &Value) {
-    if (Pos >= Size) {
-      Err = std::string("advice report: ") + What + ": truncated";
-      return false;
-    }
-    Value = Data[Pos++];
-    return true;
-  }
-};
-
-} // namespace
 
 bool AdvisorReport::deserialize(const std::vector<uint8_t> &Bytes,
                                 AdvisorReport &Out, std::string &Err) {
   Out = AdvisorReport();
-  if (Bytes.size() < kHeaderSize) {
-    Err = "advice report: truncated header";
-    return false;
-  }
-  for (unsigned I = 0; I != 4; ++I)
-    if (Bytes[I] != static_cast<uint8_t>(kMagic[I])) {
-      Err = "advice report: bad magic";
-      return false;
-    }
-  if (Bytes[4] != kFormatVersion) {
-    Err = "advice report: unsupported format version " +
-          std::to_string(Bytes[4]);
-    return false;
-  }
-  uint32_t Stored = readLE32(Bytes.data() + 5);
-  uint32_t Actual =
-      crc32(Bytes.data() + kHeaderSize, Bytes.size() - kHeaderSize);
-  if (Stored != Actual) {
-    Err = "advice report: checksum mismatch";
-    return false;
-  }
-
-  PayloadCursor C(Bytes.data(), Bytes.size(), Err);
-  C.Pos = kHeaderSize;
+  support::ByteCursor C = support::openFrame(Bytes, kMagic, kFormatVersion,
+                                             "advice report", Err);
 
   uint64_t NumPlan = 0;
-  if (!C.readU("placement count", NumPlan))
-    return false;
   // Each placement entry occupies at least 6 payload bytes.
-  if (NumPlan > C.remaining() / 6 + 1) {
-    Err = "advice report: placement count " + std::to_string(NumPlan) +
-          " exceeds remaining bytes";
+  if (!C.readU("placement count", NumPlan) ||
+      !C.checkCount("placement count", NumPlan, 6))
     return false;
-  }
   Out.Placement.reserve(NumPlan);
   for (uint64_t I = 0; I != NumPlan; ++I) {
     PlacementAdvice P;
@@ -211,39 +130,28 @@ bool AdvisorReport::deserialize(const std::vector<uint8_t> &Bytes,
         !C.readU("placement lifetime", P.MeanLifetime) ||
         !C.readByte("placement flags", Flags))
       return false;
-    if (Group > ~static_cast<omc::GroupId>(0)) {
-      Err = "advice report: placement group id out of range";
-      return false;
-    }
+    if (Group > ~static_cast<omc::GroupId>(0))
+      return C.fail("placement group id out of range");
     P.Group = static_cast<omc::GroupId>(Group);
-    if (Flags & ~(kFlagHot | kFlagPool)) {
-      Err = "advice report: unknown placement flags";
-      return false;
-    }
+    if (Flags & ~(kFlagHot | kFlagPool))
+      return C.fail("unknown placement flags");
     P.Hot = (Flags & kFlagHot) != 0;
     P.PoolCandidate = (Flags & kFlagPool) != 0;
-    if (P.ObjectCount == 0 && P.FootprintBytes != 0) {
-      Err = "advice report: placement footprint without objects";
-      return false;
-    }
+    if (P.ObjectCount == 0 && P.FootprintBytes != 0)
+      return C.fail("placement footprint without objects");
     // The serialized order is the rank; anything else is a forgery or
     // corruption (and would break the canonical-serialization fixpoint).
     if (!Out.Placement.empty() &&
-        !placementRankBefore(Out.Placement.back(), P)) {
-      Err = "advice report: placement entries out of rank order";
-      return false;
-    }
+        !placementRankBefore(Out.Placement.back(), P))
+      return C.fail("placement entries out of rank order");
     Out.Placement.push_back(P);
   }
 
   uint64_t NumLayout = 0;
-  if (!C.readU("layout count", NumLayout))
-    return false;
   // Each layout entry occupies at least 4 payload bytes.
-  if (NumLayout > C.remaining() / 4 + 1) {
-    Err = "advice report: layout count exceeds remaining bytes";
+  if (!C.readU("layout count", NumLayout) ||
+      !C.checkCount("layout count", NumLayout, 4))
     return false;
-  }
   Out.Layout.reserve(NumLayout);
   for (uint64_t I = 0; I != NumLayout; ++I) {
     LayoutAdvice L;
@@ -252,34 +160,23 @@ bool AdvisorReport::deserialize(const std::vector<uint8_t> &Bytes,
         !C.readU("layout offB", L.OffB) ||
         !C.readU("layout pair count", L.PairCount))
       return false;
-    if (Group > ~static_cast<omc::GroupId>(0)) {
-      Err = "advice report: layout group id out of range";
-      return false;
-    }
+    if (Group > ~static_cast<omc::GroupId>(0))
+      return C.fail("layout group id out of range");
     L.Group = static_cast<omc::GroupId>(Group);
-    if (L.OffA >= L.OffB) {
-      Err = "advice report: layout offsets not ascending";
-      return false;
-    }
-    if (L.PairCount == 0) {
-      Err = "advice report: layout entry with zero pair count";
-      return false;
-    }
-    if (!Out.Layout.empty() && !layoutRankBefore(Out.Layout.back(), L)) {
-      Err = "advice report: layout entries out of canonical order";
-      return false;
-    }
+    if (L.OffA >= L.OffB)
+      return C.fail("layout offsets not ascending");
+    if (L.PairCount == 0)
+      return C.fail("layout entry with zero pair count");
+    if (!Out.Layout.empty() && !layoutRankBefore(Out.Layout.back(), L))
+      return C.fail("layout entries out of canonical order");
     Out.Layout.push_back(L);
   }
 
   uint64_t NumPrefetch = 0;
-  if (!C.readU("prefetch count", NumPrefetch))
-    return false;
   // Each prefetch entry occupies at least 4 payload bytes.
-  if (NumPrefetch > C.remaining() / 4 + 1) {
-    Err = "advice report: prefetch count exceeds remaining bytes";
+  if (!C.readU("prefetch count", NumPrefetch) ||
+      !C.checkCount("prefetch count", NumPrefetch, 4))
     return false;
-  }
   Out.Prefetch.reserve(NumPrefetch);
   for (uint64_t I = 0; I != NumPrefetch; ++I) {
     PrefetchAdvice P;
@@ -289,35 +186,20 @@ bool AdvisorReport::deserialize(const std::vector<uint8_t> &Bytes,
         !C.readU("prefetch share", Share) ||
         !C.readU("prefetch distance", Distance))
       return false;
-    if (Instr > ~static_cast<trace::InstrId>(0)) {
-      Err = "advice report: prefetch instruction id out of range";
-      return false;
-    }
+    if (Instr > ~static_cast<trace::InstrId>(0))
+      return C.fail("prefetch instruction id out of range");
     P.Instr = static_cast<trace::InstrId>(Instr);
-    if (Share == 0 || Share > 1000) {
-      Err = "advice report: prefetch share outside (0, 1000]";
-      return false;
-    }
+    if (Share == 0 || Share > 1000)
+      return C.fail("prefetch share outside (0, 1000]");
     P.SharePermille = static_cast<uint32_t>(Share);
-    if (Distance == 0 || Distance > 4096) {
-      Err = "advice report: prefetch distance outside (0, 4096]";
-      return false;
-    }
+    if (Distance == 0 || Distance > 4096)
+      return C.fail("prefetch distance outside (0, 4096]");
     P.Distance = static_cast<uint32_t>(Distance);
-    if (P.Stride == 0) {
-      Err = "advice report: prefetch entry with zero stride";
-      return false;
-    }
-    if (!Out.Prefetch.empty() && Out.Prefetch.back().Instr >= P.Instr) {
-      Err = "advice report: prefetch instructions not strictly increasing";
-      return false;
-    }
+    if (P.Stride == 0)
+      return C.fail("prefetch entry with zero stride");
+    if (!Out.Prefetch.empty() && Out.Prefetch.back().Instr >= P.Instr)
+      return C.fail("prefetch instructions not strictly increasing");
     Out.Prefetch.push_back(P);
   }
-
-  if (C.Pos != Bytes.size()) {
-    Err = "advice report: trailing bytes";
-    return false;
-  }
-  return true;
+  return C.expectEnd();
 }

@@ -118,11 +118,11 @@ struct PrefetchAdvice {
 /// The advice artifact.
 class AdvisorReport {
 public:
-  /// On-disk framing: "ORPA" magic, one version byte, a little-endian
-  /// CRC-32 of the payload, then the LEB128 payload.
+  /// On-disk framing: the common artifact header
+  /// (support/ArtifactFrame.h) with this magic and version, then the
+  /// LEB128 payload.
   static constexpr char kMagic[4] = {'O', 'R', 'P', 'A'};
   static constexpr uint8_t kFormatVersion = 1;
-  static constexpr size_t kHeaderSize = 4 + 1 + 4;
 
   /// Placement plan in rank order (index 0 is the hottest group).
   std::vector<PlacementAdvice> Placement;

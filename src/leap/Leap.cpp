@@ -3,6 +3,7 @@
 #include "leap/Leap.h"
 
 #include "leap/LeapProfileData.h"
+#include "support/ArtifactFrame.h"
 #include "support/Statistics.h"
 #include "support/VarInt.h"
 
@@ -74,7 +75,7 @@ LeapProfiler::lookup(const core::VerticalKey &Key) const {
 }
 
 size_t LeapProfiler::serializedSizeBytes() const {
-  size_t Size = LeapProfileData::kHeaderSize;
+  size_t Size = support::kFrameHeaderSize;
   Size += sizeULEB128(MaxLmads);
   Size += sizeULEB128(Decomposer.numSubstreams());
   forEachSubstream([&](const core::VerticalKey &Key,

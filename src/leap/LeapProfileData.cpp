@@ -2,8 +2,7 @@
 
 #include "leap/LeapProfileData.h"
 
-#include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io)
+#include "support/ArtifactFrame.h"
 #include "support/VarInt.h"
 
 #include <algorithm>
@@ -76,11 +75,7 @@ LeapProfileData::fromProfiler(const LeapProfiler &Profiler) {
 
 std::vector<uint8_t> LeapProfileData::serialize() const {
   std::vector<uint8_t> Out;
-  Out.reserve(64);
-  for (char C : kMagic)
-    Out.push_back(static_cast<uint8_t>(C));
-  Out.push_back(kFormatVersion);
-  appendLE32(0, Out); // Payload CRC, patched below.
+  support::beginFrame(kMagic, kFormatVersion, Out);
 
   // Emit in sorted key order: the byte image must not depend on the
   // unordered containers' iteration order.
@@ -138,107 +133,27 @@ std::vector<uint8_t> LeapProfileData::serialize() const {
     encodeULEB128(Entry->second.ExecCount, Out);
     encodeULEB128(Entry->second.StoreCount, Out);
   }
-
-  uint32_t Crc = crc32(Out.data() + kHeaderSize, Out.size() - kHeaderSize);
-  for (unsigned I = 0; I != 4; ++I)
-    Out[5 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+  support::sealFrame(Out);
   return Out;
 }
-
-namespace {
-
-/// Cursor over an untrusted payload: every read is bounds-checked and
-/// the first failure is latched into an error string.
-struct PayloadCursor {
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-  std::string &Err;
-
-  PayloadCursor(const uint8_t *Data, size_t Size, std::string &Err)
-      : Data(Data), Size(Size), Err(Err) {}
-
-  size_t remaining() const { return Size - Pos; }
-
-  bool fail(const char *What, VarIntStatus Status) {
-    Err = std::string("leap profile: ") + What + ": " +
-          varIntStatusName(Status) + " varint";
-    return false;
-  }
-
-  [[nodiscard]] bool readU(const char *What, uint64_t &Value) {
-    VarIntStatus S = decodeULEB128Checked(Data, Size, Pos, Value);
-    if (S != VarIntStatus::Ok)
-      return fail(What, S);
-    return true;
-  }
-
-  [[nodiscard]] bool readS(const char *What, int64_t &Value) {
-    VarIntStatus S = decodeSLEB128Checked(Data, Size, Pos, Value);
-    if (S != VarIntStatus::Ok)
-      return fail(What, S);
-    return true;
-  }
-
-  [[nodiscard]] bool readByte(const char *What, uint8_t &Value) {
-    if (Pos >= Size) {
-      Err = std::string("leap profile: ") + What + ": truncated";
-      return false;
-    }
-    Value = Data[Pos++];
-    return true;
-  }
-};
-
-} // namespace
 
 bool LeapProfileData::deserialize(const std::vector<uint8_t> &Bytes,
                                   LeapProfileData &Out, std::string &Err) {
   Out = LeapProfileData();
-  if (Bytes.size() < kHeaderSize) {
-    Err = "leap profile: truncated header";
-    return false;
-  }
-  for (unsigned I = 0; I != 4; ++I)
-    if (Bytes[I] != static_cast<uint8_t>(kMagic[I])) {
-      Err = "leap profile: bad magic";
-      return false;
-    }
-  if (Bytes[4] != kFormatVersion) {
-    Err = "leap profile: unsupported format version " +
-          std::to_string(Bytes[4]);
-    return false;
-  }
-  uint32_t Stored = readLE32(Bytes.data() + 5);
-  uint32_t Actual =
-      crc32(Bytes.data() + kHeaderSize, Bytes.size() - kHeaderSize);
-  if (Stored != Actual) {
-    Err = "leap profile: checksum mismatch";
-    return false;
-  }
-
-  PayloadCursor C(Bytes.data(), Bytes.size(), Err);
-  C.Pos = kHeaderSize;
+  support::ByteCursor C =
+      support::openFrame(Bytes, kMagic, kFormatVersion, "leap profile", Err);
   uint64_t MaxLmads = 0;
   if (!C.readU("descriptor cap", MaxLmads))
     return false;
-  if (MaxLmads == 0 || MaxLmads > (1u << 20)) {
-    Err = "leap profile: implausible descriptor cap " +
-          std::to_string(MaxLmads);
-    return false;
-  }
+  if (!lmad::LmadCompressor::isValidCap(MaxLmads))
+    return C.fail("implausible descriptor cap " + std::to_string(MaxLmads));
   Out.MaxLmads = static_cast<unsigned>(MaxLmads);
 
   uint64_t NumSubs = 0;
-  if (!C.readU("substream count", NumSubs))
+  // Each substream record occupies at least 5 payload bytes.
+  if (!C.readU("substream count", NumSubs) ||
+      !C.checkCount("substream count", NumSubs, 5))
     return false;
-  // Each substream record occupies at least 5 payload bytes, so a count
-  // beyond that bound cannot be satisfied by the remaining input.
-  if (NumSubs > C.remaining() / 5 + 1) {
-    Err = "leap profile: substream count " + std::to_string(NumSubs) +
-          " exceeds remaining bytes";
-    return false;
-  }
   for (uint64_t S = 0; S != NumSubs; ++S) {
     core::VerticalKey Key;
     uint64_t Instr = 0, Group = 0;
@@ -252,16 +167,12 @@ bool LeapProfileData::deserialize(const std::vector<uint8_t> &Bytes,
     if (!C.readU("substream points", Sub.TotalPoints) ||
         !C.readU("descriptor count", NumLmads))
       return false;
-    if (NumLmads > MaxLmads) {
-      Err = "leap profile: descriptor count " + std::to_string(NumLmads) +
-            " exceeds the cap " + std::to_string(MaxLmads);
-      return false;
-    }
+    if (NumLmads > MaxLmads)
+      return C.fail("descriptor count " + std::to_string(NumLmads) +
+                    " exceeds the cap " + std::to_string(MaxLmads));
     // A descriptor is at least 7 bytes (six SLEB fields plus a count).
-    if (NumLmads > C.remaining() / 7 + 1) {
-      Err = "leap profile: descriptor count exceeds remaining bytes";
+    if (!C.checkCount("descriptor count", NumLmads, 7))
       return false;
-    }
     Sub.Lmads.reserve(NumLmads);
     uint64_t CapturedPoints = 0;
     for (uint64_t L = 0; L != NumLmads; ++L) {
@@ -273,27 +184,19 @@ bool LeapProfileData::deserialize(const std::vector<uint8_t> &Bytes,
           return false;
       if (!C.readU("descriptor length", M.Count))
         return false;
-      if (M.Count == 0) {
-        Err = "leap profile: empty descriptor";
-        return false;
-      }
+      if (M.Count == 0)
+        return C.fail("empty descriptor");
       CapturedPoints += M.Count;
       Sub.Lmads.push_back(M);
     }
-    uint8_t HasOverflow = 0;
-    if (!C.readByte("overflow flag", HasOverflow))
+    bool HasOverflow = false;
+    if (!C.readFlag("overflow flag", HasOverflow))
       return false;
-    if (HasOverflow > 1) {
-      Err = "leap profile: bad overflow flag";
-      return false;
-    }
     if (HasOverflow) {
       if (!C.readU("dropped count", Sub.Overflow.Dropped))
         return false;
-      if (Sub.Overflow.Dropped == 0) {
-        Err = "leap profile: overflow record with zero dropped points";
-        return false;
-      }
+      if (Sub.Overflow.Dropped == 0)
+        return C.fail("overflow record with zero dropped points");
       for (unsigned D = 0; D != 3; ++D)
         if (!C.readS("overflow min", Sub.Overflow.Min[D]) ||
             !C.readS("overflow max", Sub.Overflow.Max[D]) ||
@@ -306,26 +209,19 @@ bool LeapProfileData::deserialize(const std::vector<uint8_t> &Bytes,
     }
     // Every point is either inside a descriptor or dropped; anything
     // else means the image was not produced by a compressor.
-    if (Sub.TotalPoints != CapturedPoints + Sub.Overflow.Dropped) {
-      Err = "leap profile: point accounting mismatch (total " +
-            std::to_string(Sub.TotalPoints) + ", captured " +
-            std::to_string(CapturedPoints) + ", dropped " +
-            std::to_string(Sub.Overflow.Dropped) + ")";
-      return false;
-    }
-    if (!Out.Substreams.emplace(Key, std::move(Sub)).second) {
-      Err = "leap profile: duplicate substream key";
-      return false;
-    }
+    if (Sub.TotalPoints != CapturedPoints + Sub.Overflow.Dropped)
+      return C.fail("point accounting mismatch (total " +
+                    std::to_string(Sub.TotalPoints) + ", captured " +
+                    std::to_string(CapturedPoints) + ", dropped " +
+                    std::to_string(Sub.Overflow.Dropped) + ")");
+    if (!Out.Substreams.emplace(Key, std::move(Sub)).second)
+      return C.fail("duplicate substream key");
   }
   uint64_t NumInstrs = 0;
-  if (!C.readU("instruction count", NumInstrs))
-    return false;
   // Each instruction row is at least 3 payload bytes.
-  if (NumInstrs > C.remaining() / 3 + 1) {
-    Err = "leap profile: instruction count exceeds remaining bytes";
+  if (!C.readU("instruction count", NumInstrs) ||
+      !C.checkCount("instruction count", NumInstrs, 3))
     return false;
-  }
   for (uint64_t I = 0; I != NumInstrs; ++I) {
     uint64_t Instr = 0;
     InstrSummary Summary;
@@ -333,21 +229,13 @@ bool LeapProfileData::deserialize(const std::vector<uint8_t> &Bytes,
         !C.readU("exec count", Summary.ExecCount) ||
         !C.readU("store count", Summary.StoreCount))
       return false;
-    if (Summary.StoreCount > Summary.ExecCount) {
-      Err = "leap profile: store count exceeds exec count";
-      return false;
-    }
+    if (Summary.StoreCount > Summary.ExecCount)
+      return C.fail("store count exceeds exec count");
     if (!Out.Instrs.emplace(static_cast<trace::InstrId>(Instr), Summary)
-             .second) {
-      Err = "leap profile: duplicate instruction id";
-      return false;
-    }
+             .second)
+      return C.fail("duplicate instruction id");
   }
-  if (C.Pos != Bytes.size()) {
-    Err = "leap profile: trailing bytes";
-    return false;
-  }
-  return true;
+  return C.expectEnd();
 }
 
 bool LeapProfileData::mergeSequential(const LeapProfileData &Next,

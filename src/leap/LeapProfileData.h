@@ -60,11 +60,11 @@ struct SubstreamData {
 /// A LEAP profile detached from its profiler.
 class LeapProfileData {
 public:
-  /// On-disk format: "LEAP" magic, one version byte, a little-endian
-  /// CRC-32 of the payload, then the LEB128 payload.
+  /// On-disk format: the common artifact header
+  /// (support/ArtifactFrame.h) with this magic and version, then the
+  /// LEB128 payload.
   static constexpr char kMagic[4] = {'L', 'E', 'A', 'P'};
   static constexpr uint8_t kFormatVersion = 2;
-  static constexpr size_t kHeaderSize = 4 + 1 + 4;
 
   /// Captures the state of \p Profiler.
   static LeapProfileData fromProfiler(const LeapProfiler &Profiler);

@@ -45,6 +45,15 @@ public:
   /// Default descriptor cap, the paper's chosen value.
   static constexpr unsigned DefaultMaxLmads = 30;
 
+  /// Largest descriptor cap any input may request: profile images and
+  /// OPEN frames naming a cap outside [1, MaxDescriptorCap] are rejected.
+  static constexpr unsigned MaxDescriptorCap = 1u << 20;
+
+  /// True when \p MaxLmads is a cap the compressor accepts.
+  static constexpr bool isValidCap(uint64_t MaxLmads) {
+    return MaxLmads >= 1 && MaxLmads <= MaxDescriptorCap;
+  }
+
   /// Creates a compressor for \p Dims-dimensional points with at most
   /// \p MaxLmads descriptors.
   explicit LmadCompressor(unsigned Dims,

@@ -34,6 +34,12 @@ enum class AllocPolicy {
   Segregated, ///< Power-of-two size classes with LIFO reuse.
 };
 
+/// True when \p Raw names an AllocPolicy: the check a policy byte from
+/// a trace header or a wire frame must pass before it is cast.
+constexpr bool isValidAllocPolicy(uint64_t Raw) {
+  return Raw <= static_cast<uint64_t>(AllocPolicy::Segregated);
+}
+
 /// Returns a short human-readable name for \p Policy.
 const char *allocPolicyName(AllocPolicy Policy);
 

@@ -58,139 +58,90 @@ void OmcCheckpoint::serialize(const ObjectManager &Omc,
   }
 }
 
-bool OmcCheckpoint::restore(const uint8_t *Data, size_t Size, size_t &Pos,
-                            ObjectManager &Omc, std::string &Err) {
+bool OmcCheckpoint::restore(support::ByteCursor &C, ObjectManager &Omc) {
   if (!Omc.Records.empty() || !Omc.GroupSites.empty() ||
-      !Omc.PoolElementSize.empty()) {
-    Err = "omc checkpoint: restore target is not freshly constructed";
-    return false;
-  }
-  auto ReadU = [&](const char *What, uint64_t &Value) {
-    VarIntStatus S = decodeULEB128Checked(Data, Size, Pos, Value);
-    if (S != VarIntStatus::Ok) {
-      Err = std::string("omc checkpoint: ") + What + ": " +
-            varIntStatusName(S) + " varint";
-      return false;
-    }
-    return true;
-  };
-  auto ReadFlag = [&](const char *What, bool &Value) {
-    if (Pos >= Size) {
-      Err = std::string("omc checkpoint: ") + What + ": truncated";
-      return false;
-    }
-    uint8_t B = Data[Pos++];
-    if (B > 1) {
-      Err = std::string("omc checkpoint: ") + What + ": bad flag";
-      return false;
-    }
-    Value = B != 0;
-    return true;
-  };
+      !Omc.PoolElementSize.empty())
+    return C.fail("restore target is not freshly constructed");
 
   uint64_t NumGroups = 0;
-  if (!ReadU("group count", NumGroups))
+  if (!C.readU("group count", NumGroups) ||
+      !C.checkCount("group count", NumGroups, 2))
     return false;
-  if (NumGroups > (Size - Pos) / 2 + 1) {
-    Err = "omc checkpoint: group count exceeds remaining bytes";
-    return false;
-  }
   Omc.GroupSites.reserve(NumGroups);
   Omc.NextSerial.reserve(NumGroups);
   for (uint64_t G = 0; G != NumGroups; ++G) {
     uint64_t Site = 0, Next = 0;
-    if (!ReadU("group site", Site) || !ReadU("group next serial", Next))
+    if (!C.readU("group site", Site) || !C.readU("group next serial", Next))
       return false;
     auto SiteId = static_cast<trace::AllocSiteId>(Site);
-    if (!Omc.SiteToGroup.emplace(SiteId, static_cast<GroupId>(G)).second) {
-      Err = "omc checkpoint: duplicate group site";
-      return false;
-    }
+    if (!Omc.SiteToGroup.emplace(SiteId, static_cast<GroupId>(G)).second)
+      return C.fail("duplicate group site");
     Omc.GroupSites.push_back(SiteId);
     Omc.NextSerial.push_back(Next);
   }
 
   uint64_t NumPools = 0;
-  if (!ReadU("pool count", NumPools))
+  if (!C.readU("pool count", NumPools) ||
+      !C.checkCount("pool count", NumPools, 2))
     return false;
-  if (NumPools > (Size - Pos) / 2 + 1) {
-    Err = "omc checkpoint: pool count exceeds remaining bytes";
-    return false;
-  }
   for (uint64_t P = 0; P != NumPools; ++P) {
     uint64_t Site = 0, ElementSize = 0;
-    if (!ReadU("pool site", Site) ||
-        !ReadU("pool element size", ElementSize))
+    if (!C.readU("pool site", Site) ||
+        !C.readU("pool element size", ElementSize))
       return false;
-    if (ElementSize == 0) {
-      Err = "omc checkpoint: zero pool element size";
-      return false;
-    }
+    if (ElementSize == 0)
+      return C.fail("zero pool element size");
     if (!Omc.PoolElementSize
              .emplace(static_cast<trace::AllocSiteId>(Site), ElementSize)
-             .second) {
-      Err = "omc checkpoint: duplicate pool site";
-      return false;
-    }
+             .second)
+      return C.fail("duplicate pool site");
   }
 
   uint64_t NumRecords = 0;
-  if (!ReadU("record count", NumRecords))
-    return false;
   // Each record is at least 9 bytes (six varints plus three flags).
-  if (NumRecords > (Size - Pos) / 9 + 1) {
-    Err = "omc checkpoint: record count exceeds remaining bytes";
+  if (!C.readU("record count", NumRecords) ||
+      !C.checkCount("record count", NumRecords, 9))
     return false;
-  }
   Omc.Records.reserve(NumRecords);
   Omc.PoolBaseSerial.reserve(NumRecords);
   for (uint64_t I = 0; I != NumRecords; ++I) {
     ObjectRecord Rec;
     uint64_t Group = 0, Site = 0;
     bool Freed = false, IsStatic = false, HasPoolBase = false;
-    if (!ReadU("record group", Group) ||
-        !ReadU("record serial", Rec.Serial) ||
-        !ReadU("record site", Site) || !ReadU("record base", Rec.Base) ||
-        !ReadU("record size", Rec.Size) ||
-        !ReadU("record alloc time", Rec.AllocTime))
+    if (!C.readU("record group", Group) ||
+        !C.readU("record serial", Rec.Serial) ||
+        !C.readU("record site", Site) || !C.readU("record base", Rec.Base) ||
+        !C.readU("record size", Rec.Size) ||
+        !C.readU("record alloc time", Rec.AllocTime))
       return false;
-    if (Group >= NumGroups) {
-      Err = "omc checkpoint: record references unknown group";
-      return false;
-    }
+    if (Group >= NumGroups)
+      return C.fail("record references unknown group");
     Rec.Group = static_cast<GroupId>(Group);
     Rec.Site = static_cast<trace::AllocSiteId>(Site);
     Rec.FreeTime = ObjectManager::kLiveForever;
-    if (!ReadFlag("freed flag", Freed))
+    if (!C.readFlag("freed flag", Freed))
       return false;
-    if (Freed && !ReadU("record free time", Rec.FreeTime))
+    if (Freed && !C.readU("record free time", Rec.FreeTime))
       return false;
-    if (!ReadFlag("static flag", IsStatic))
+    if (!C.readFlag("static flag", IsStatic))
       return false;
     Rec.IsStatic = IsStatic;
     uint64_t PoolBase = ~0ULL;
-    if (!ReadFlag("pool flag", HasPoolBase))
+    if (!C.readFlag("pool flag", HasPoolBase))
       return false;
     if (HasPoolBase) {
-      if (!ReadU("pool base serial", PoolBase))
+      if (!C.readU("pool base serial", PoolBase))
         return false;
-      if (Omc.PoolElementSize.find(Rec.Site) ==
-          Omc.PoolElementSize.end()) {
-        Err = "omc checkpoint: pool record for a non-pool site";
-        return false;
-      }
+      if (Omc.PoolElementSize.find(Rec.Site) == Omc.PoolElementSize.end())
+        return C.fail("pool record for a non-pool site");
     }
-    if (Rec.Size == 0 || Rec.Base + Rec.Size < Rec.Base) {
-      Err = "omc checkpoint: record with empty or wrapping range";
-      return false;
-    }
+    if (Rec.Size == 0 || Rec.Base + Rec.Size < Rec.Base)
+      return C.fail("record with empty or wrapping range");
     if (Rec.FreeTime == ObjectManager::kLiveForever) {
       // Re-grow the live interval index; overlapping live ranges mean
       // the checkpoint is corrupt (the tree requires disjointness).
-      if (Omc.LiveIndex.overlapsRange(Rec.Base, Rec.Base + Rec.Size)) {
-        Err = "omc checkpoint: overlapping live objects";
-        return false;
-      }
+      if (Omc.LiveIndex.overlapsRange(Rec.Base, Rec.Base + Rec.Size))
+        return C.fail("overlapping live objects");
       Omc.LiveIndex.insert(Rec.Base, Rec.Base + Rec.Size,
                            Omc.Records.size());
     }

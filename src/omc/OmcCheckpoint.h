@@ -26,9 +26,9 @@
 #define ORP_OMC_OMCCHECKPOINT_H
 
 #include "omc/ObjectManager.h"
+#include "support/ByteCursor.h"
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace orp {
@@ -43,13 +43,12 @@ public:
   static void serialize(const ObjectManager &Omc, std::vector<uint8_t> &Out);
 
   /// Restores a snapshot into \p Omc, which must be freshly constructed
-  /// (no allocations seen). Reads from \p Data starting at \p Pos and
-  /// advances \p Pos past the section. Returns false with a diagnostic
-  /// in \p Err on malformed or inconsistent input; \p Omc is left in an
+  /// (no allocations seen). Reads the section at \p C and leaves \p C
+  /// just past it. Returns false, with the diagnostic latched in \p C,
+  /// on malformed or inconsistent input; \p Omc is left in an
   /// unspecified but safe state on failure and must be discarded.
-  [[nodiscard]] static bool restore(const uint8_t *Data, size_t Size,
-                                    size_t &Pos, ObjectManager &Omc,
-                                    std::string &Err);
+  [[nodiscard]] static bool restore(support::ByteCursor &C,
+                                    ObjectManager &Omc);
 };
 
 } // namespace omc

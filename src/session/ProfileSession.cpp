@@ -4,8 +4,7 @@
 
 #include "leap/LeapProfileData.h"
 #include "omc/OmcCheckpoint.h"
-#include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io): artifact framing
+#include "support/ArtifactFrame.h"
 #include "support/VarInt.h"
 #include "traceio/BlockCodec.h"
 #include "traceio/TraceReplayer.h"
@@ -130,10 +129,7 @@ std::vector<uint8_t>
 ProfileSession::checkpoint(const traceio::TraceReader &Reader,
                            uint64_t NextBlock) {
   std::vector<uint8_t> Out;
-  Out.insert(Out.end(), kCheckpointMagic, kCheckpointMagic + 4);
-  Out.push_back(kCheckpointVersion);
-  size_t CrcAt = Out.size();
-  appendLE32(0, Out); // Patched below.
+  support::beginFrame(kCheckpointMagic, kCheckpointVersion, Out);
 
   // Progress.
   encodeULEB128(NextBlock, Out);
@@ -150,12 +146,7 @@ ProfileSession::checkpoint(const traceio::TraceReader &Reader,
   encodeULEB128(Reader.info().TotalEvents, Out);
 
   omc::OmcCheckpoint::serialize(Core->omc(), Out);
-
-  uint32_t Crc = crc32(Out.data() + CrcAt + 4, Out.size() - CrcAt - 4);
-  Out[CrcAt] = static_cast<uint8_t>(Crc);
-  Out[CrcAt + 1] = static_cast<uint8_t>(Crc >> 8);
-  Out[CrcAt + 2] = static_cast<uint8_t>(Crc >> 16);
-  Out[CrcAt + 3] = static_cast<uint8_t>(Crc >> 24);
+  support::sealFrame(Out);
   return Out;
 }
 
@@ -163,91 +154,35 @@ bool ProfileSession::restoreCheckpoint(const std::vector<uint8_t> &Bytes,
                                        const traceio::TraceReader &Reader,
                                        uint64_t &NextBlock,
                                        std::string &Err) {
-  constexpr size_t kHeaderSize = 4 + 1 + 4;
   if (Events != 0 || Finished || Failed) {
     Err = "checkpoint: restore target is not a fresh session";
     return false;
   }
-  if (Bytes.size() < kHeaderSize) {
-    Err = "checkpoint: truncated header";
-    return false;
-  }
-  if (!std::equal(kCheckpointMagic, kCheckpointMagic + 4, Bytes.begin())) {
-    Err = "checkpoint: bad magic";
-    return false;
-  }
-  if (Bytes[4] != kCheckpointVersion) {
-    Err = "checkpoint: unsupported format version " +
-          std::to_string(Bytes[4]);
-    return false;
-  }
-  uint32_t Stored = readLE32(Bytes.data() + 5);
-  if (crc32(Bytes.data() + kHeaderSize, Bytes.size() - kHeaderSize) !=
-      Stored) {
-    Err = "checkpoint: checksum mismatch (corrupted image)";
-    return false;
-  }
-
-  const uint8_t *Data = Bytes.data();
-  size_t Size = Bytes.size();
-  size_t Pos = kHeaderSize;
-  auto ReadU = [&](const char *What, uint64_t &Value) {
-    VarIntStatus S = decodeULEB128Checked(Data, Size, Pos, Value);
-    if (S != VarIntStatus::Ok) {
-      Err = std::string("checkpoint: ") + What + ": " +
-            varIntStatusName(S) + " varint";
-      return false;
-    }
-    return true;
-  };
-  auto ReadByte = [&](const char *What, uint8_t &Value) {
-    if (Pos >= Size) {
-      Err = std::string("checkpoint: ") + What + ": truncated";
-      return false;
-    }
-    Value = Data[Pos++];
-    return true;
-  };
-
+  support::ByteCursor C = support::openFrame(
+      Bytes, kCheckpointMagic, kCheckpointVersion, "checkpoint", Err);
   uint64_t Next = 0, EventsSoFar = 0, Seed = 0, MaxLmads = 0;
   uint64_t TraceBlocks = 0, TraceEvents = 0;
-  uint8_t Policy = 0, EnableWhomp = 0, EnableLeap = 0;
-  if (!ReadU("next block", Next) || !ReadU("event count", EventsSoFar) ||
-      !ReadByte("alloc policy", Policy) || !ReadU("seed", Seed) ||
-      !ReadByte("whomp flag", EnableWhomp) ||
-      !ReadByte("leap flag", EnableLeap) ||
-      !ReadU("max lmads", MaxLmads) ||
-      !ReadU("trace block count", TraceBlocks) ||
-      !ReadU("trace event count", TraceEvents))
+  uint8_t Policy = 0;
+  bool EnableWhomp = false, EnableLeap = false;
+  if (!C.readU("next block", Next) || !C.readU("event count", EventsSoFar) ||
+      !C.readByte("alloc policy", Policy) || !C.readU("seed", Seed) ||
+      !C.readFlag("whomp flag", EnableWhomp) ||
+      !C.readFlag("leap flag", EnableLeap) ||
+      !C.readU("max lmads", MaxLmads) ||
+      !C.readU("trace block count", TraceBlocks) ||
+      !C.readU("trace event count", TraceEvents))
     return false;
-  if (EnableWhomp > 1 || EnableLeap > 1) {
-    Err = "checkpoint: bad profiler flag";
-    return false;
-  }
   if (Policy != static_cast<uint8_t>(Config.Policy) ||
-      Seed != Config.Seed ||
-      (EnableWhomp != 0) != Config.EnableWhomp ||
-      (EnableLeap != 0) != Config.EnableLeap ||
-      MaxLmads != Config.MaxLmads) {
-    Err = "checkpoint: session configuration mismatch";
-    return false;
-  }
+      Seed != Config.Seed || EnableWhomp != Config.EnableWhomp ||
+      EnableLeap != Config.EnableLeap || MaxLmads != Config.MaxLmads)
+    return C.fail("session configuration mismatch");
   if (TraceBlocks != Reader.numEventBlocks() ||
-      TraceEvents != Reader.info().TotalEvents) {
-    Err = "checkpoint: trace identity mismatch (different trace?)";
+      TraceEvents != Reader.info().TotalEvents)
+    return C.fail("trace identity mismatch (different trace?)");
+  if (Next > TraceBlocks)
+    return C.fail("next block beyond the end of the trace");
+  if (!omc::OmcCheckpoint::restore(C, Core->omc()) || !C.expectEnd())
     return false;
-  }
-  if (Next > TraceBlocks) {
-    Err = "checkpoint: next block beyond the end of the trace";
-    return false;
-  }
-
-  if (!omc::OmcCheckpoint::restore(Data, Size, Pos, Core->omc(), Err))
-    return false;
-  if (Pos != Size) {
-    Err = "checkpoint: trailing bytes after payload";
-    return false;
-  }
   Events = EventsSoFar;
   NextBlock = Next;
   return true;

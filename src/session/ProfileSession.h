@@ -137,8 +137,8 @@ public:
                                        uint64_t &NextBlock,
                                        std::string &Err);
 
-  /// ORCK artifact framing (mirrors the LEAP/OMSA header layout).
-  static constexpr uint8_t kCheckpointMagic[4] = {'O', 'R', 'C', 'K'};
+  /// ORCK artifact framing (support/ArtifactFrame.h).
+  static constexpr char kCheckpointMagic[4] = {'O', 'R', 'C', 'K'};
   static constexpr uint8_t kCheckpointVersion = 1;
 
   /// Finishes the pipeline (once) and builds the detached artifacts.

@@ -2,14 +2,15 @@
 
 #include "session/Wire.h"
 
+#include "lmad/LmadCompressor.h"
+#include "support/ByteCursor.h"
 #include "support/Endian.h"
 #include "support/VarInt.h"
 #include "traceio/RegistryCodec.h"
 
-#include <cstring>
-
 using namespace orp;
 using namespace orp::session;
+using support::appendLenPrefixed;
 
 void session::appendFrame(FrameType Type,
                           const std::vector<uint8_t> &Payload,
@@ -32,14 +33,18 @@ bool FrameParser::next(Frame &Out) {
     Buf.erase(Buf.begin(), Buf.begin() + static_cast<ptrdiff_t>(Pos));
     Pos = 0;
   }
+  // A partial length prefix just means more bytes are on the way.
   if (Buf.size() - Pos < 4)
     return false;
-  uint32_t Length = readLE32(Buf.data() + Pos);
+  support::ByteCursor C(Buf.data() + Pos, Buf.size() - Pos, "frame", Err);
+  uint32_t Length = 0;
+  if (!C.readLE("length", Length))
+    return false;
   if (Length == 0 || Length > kMaxFrameLength) {
     Err = "bad frame length " + std::to_string(Length);
     return false;
   }
-  if (Buf.size() - Pos < 4u + Length)
+  if (C.remaining() < Length)
     return false;
   Out.Type = static_cast<FrameType>(Buf[Pos + 4]);
   Out.Payload.assign(Buf.begin() + static_cast<ptrdiff_t>(Pos + 5),
@@ -50,43 +55,13 @@ bool FrameParser::next(Frame &Out) {
 
 namespace {
 
-void appendString(const std::string &S, std::vector<uint8_t> &Out) {
-  encodeULEB128(S.size(), Out);
-  Out.insert(Out.end(), S.begin(), S.end());
-}
-
-bool readString(const uint8_t *Data, size_t Len, size_t &Pos,
-                std::string &Out) {
-  uint64_t StrLen;
-  if (!tryDecodeULEB128(Data, Len, Pos, StrLen) || StrLen > Len - Pos)
-    return false;
-  Out.assign(Data + Pos, Data + Pos + StrLen);
-  Pos += StrLen;
-  return true;
-}
-
-void appendBytes(const std::vector<uint8_t> &B, std::vector<uint8_t> &Out) {
-  encodeULEB128(B.size(), Out);
-  Out.insert(Out.end(), B.begin(), B.end());
-}
-
-bool readBytes(const uint8_t *Data, size_t Len, size_t &Pos,
-               std::vector<uint8_t> &Out) {
-  uint64_t BytesLen;
-  if (!tryDecodeULEB128(Data, Len, Pos, BytesLen) || BytesLen > Len - Pos)
-    return false;
-  Out.assign(Data + Pos, Data + Pos + BytesLen);
-  Pos += BytesLen;
-  return true;
-}
-
 constexpr uint8_t kProfilerWhomp = 1;
 constexpr uint8_t kProfilerLeap = 2;
 
 } // namespace
 
 void session::encodeOpen(const OpenRequest &Req, std::vector<uint8_t> &Out) {
-  appendString(Req.Name, Out);
+  appendLenPrefixed(Req.Name, Out);
   Out.push_back(static_cast<uint8_t>(Req.Config.Policy));
   appendLE64(Req.Config.Seed, Out);
   uint8_t Mask = (Req.Config.EnableWhomp ? kProfilerWhomp : 0) |
@@ -98,30 +73,24 @@ void session::encodeOpen(const OpenRequest &Req, std::vector<uint8_t> &Out) {
 
 bool session::decodeOpen(const uint8_t *Data, size_t Len, OpenRequest &Out,
                          std::string &Err) {
-  size_t Pos = 0;
-  if (!readString(Data, Len, Pos, Out.Name) || Len - Pos < 10) {
-    Err = "OPEN frame: truncated header";
+  support::ByteCursor C(Data, Len, "OPEN frame", Err);
+  uint8_t Policy = 0, Mask = 0;
+  uint64_t MaxLmads = 0;
+  if (!C.readString("session name", Out.Name) ||
+      !C.readByte("alloc policy", Policy) ||
+      !C.readLE("seed", Out.Config.Seed) ||
+      !C.readByte("profiler mask", Mask) ||
+      !C.readU("descriptor cap", MaxLmads))
     return false;
-  }
-  Out.Config.Policy = static_cast<memsim::AllocPolicy>(Data[Pos++]);
-  Out.Config.Seed = readLE64(Data + Pos);
-  Pos += 8;
-  uint8_t Mask = Data[Pos++];
+  if (!memsim::isValidAllocPolicy(Policy))
+    return C.fail("unknown allocation policy " + std::to_string(Policy));
+  if (!lmad::LmadCompressor::isValidCap(MaxLmads))
+    return C.fail("implausible descriptor cap " + std::to_string(MaxLmads));
+  Out.Config.Policy = static_cast<memsim::AllocPolicy>(Policy);
   Out.Config.EnableWhomp = (Mask & kProfilerWhomp) != 0;
   Out.Config.EnableLeap = (Mask & kProfilerLeap) != 0;
-  uint64_t MaxLmads;
-  if (!tryDecodeULEB128(Data, Len, Pos, MaxLmads)) {
-    Err = "OPEN frame: truncated header";
-    return false;
-  }
   Out.Config.MaxLmads = static_cast<unsigned>(MaxLmads);
-  std::string PayloadErr;
-  if (!traceio::parseRegistryPayload(Data + Pos, Len - Pos, Out.Instrs,
-                                     Out.Sites, PayloadErr)) {
-    Err = "OPEN frame: " + PayloadErr;
-    return false;
-  }
-  return true;
+  return traceio::parseRegistryPayload(C, Out.Instrs, Out.Sites);
 }
 
 void session::encodeEventsHeader(uint64_t SessionId, uint64_t EventCount,
@@ -135,61 +104,44 @@ void session::encodeEventsHeader(uint64_t SessionId, uint64_t EventCount,
 
 bool session::decodeEventsHeader(const uint8_t *Data, size_t Len,
                                  EventsHeader &Out, std::string &Err) {
-  size_t Pos = 0;
-  if (!tryDecodeULEB128(Data, Len, Pos, Out.SessionId) ||
-      !tryDecodeULEB128(Data, Len, Pos, Out.EventCount) || Len - Pos < 5) {
-    Err = "EVENTS frame: truncated header";
+  support::ByteCursor C(Data, Len, "EVENTS frame", Err);
+  if (!C.readU("session id", Out.SessionId) ||
+      !C.readU("event count", Out.EventCount) ||
+      !C.readByte("format version", Out.FormatVersion) ||
+      !C.readLE("block crc", Out.Crc))
     return false;
-  }
-  Out.FormatVersion = Data[Pos];
-  Out.Crc = readLE32(Data + Pos + 1);
-  Out.PayloadOffset = Pos + 5;
+  Out.PayloadOffset = C.pos();
   return true;
 }
 
 void session::encodeSnapshot(const SnapshotRequest &Req,
                              std::vector<uint8_t> &Out) {
   Out.push_back(Req.Format);
-  appendString(Req.SessionName, Out);
+  appendLenPrefixed(Req.SessionName, Out);
 }
 
 bool session::decodeSnapshot(const uint8_t *Data, size_t Len,
                              SnapshotRequest &Out, std::string &Err) {
-  if (Len < 1) {
-    Err = "SNAPSHOT frame: empty payload";
-    return false;
-  }
-  Out.Format = Data[0];
-  size_t Pos = 1;
-  if (!readString(Data, Len, Pos, Out.SessionName) || Pos != Len) {
-    Err = "SNAPSHOT frame: malformed session name";
-    return false;
-  }
-  return true;
+  support::ByteCursor C(Data, Len, "SNAPSHOT frame", Err);
+  return C.readByte("format", Out.Format) &&
+         C.readString("session name", Out.SessionName) && C.expectEnd();
 }
 
 void session::encodeCloseSummary(const CloseSummary &Summary,
                                  std::vector<uint8_t> &Out) {
   encodeULEB128(Summary.Events, Out);
   Out.push_back(Summary.Failed ? 1 : 0);
-  appendString(Summary.Error, Out);
-  appendBytes(Summary.Omsg, Out);
-  appendBytes(Summary.Leap, Out);
+  appendLenPrefixed(Summary.Error, Out);
+  appendLenPrefixed(Summary.Omsg, Out);
+  appendLenPrefixed(Summary.Leap, Out);
 }
 
 bool session::decodeCloseSummary(const uint8_t *Data, size_t Len,
                                  CloseSummary &Out, std::string &Err) {
-  size_t Pos = 0;
-  if (!tryDecodeULEB128(Data, Len, Pos, Out.Events) || Pos >= Len) {
-    Err = "CLOSE reply: truncated";
-    return false;
-  }
-  Out.Failed = Data[Pos++] != 0;
-  if (!readString(Data, Len, Pos, Out.Error) ||
-      !readBytes(Data, Len, Pos, Out.Omsg) ||
-      !readBytes(Data, Len, Pos, Out.Leap) || Pos != Len) {
-    Err = "CLOSE reply: truncated";
-    return false;
-  }
-  return true;
+  support::ByteCursor C(Data, Len, "CLOSE reply", Err);
+  return C.readU("event count", Out.Events) &&
+         C.readFlag("failed flag", Out.Failed) &&
+         C.readString("error", Out.Error) &&
+         C.readLenBytes("omsg profile", Out.Omsg) &&
+         C.readLenBytes("leap profile", Out.Leap) && C.expectEnd();
 }

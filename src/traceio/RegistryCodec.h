@@ -23,11 +23,10 @@
 #ifndef ORP_TRACEIO_REGISTRYCODEC_H
 #define ORP_TRACEIO_REGISTRYCODEC_H
 
+#include "support/ByteCursor.h"
 #include "trace/InstructionRegistry.h"
 
-#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace orp {
@@ -43,14 +42,14 @@ void appendRegistryPayload(const std::vector<trace::InstrInfo> &Instrs,
                            const std::vector<trace::AllocSiteInfo> &Sites,
                            std::vector<uint8_t> &Out);
 
-/// Parses one registry payload into \p Instrs / \p Sites (replacing
-/// their contents). Returns false with \p Err set on malformed input;
-/// messages are unprefixed ("malformed instruction entry") so callers
-/// can label the carrier ("registry section: ...", "OPEN frame: ...").
-bool parseRegistryPayload(const uint8_t *Data, size_t Len,
-                          std::vector<trace::InstrInfo> &Instrs,
-                          std::vector<trace::AllocSiteInfo> &Sites,
-                          std::string &Err);
+/// Parses one registry payload, which runs to the end of \p C, into
+/// \p Instrs / \p Sites (replacing their contents). Returns false with
+/// the diagnostic latched in \p C on malformed input; the cursor's
+/// format label names the carrier ("registry section at byte N",
+/// "OPEN frame").
+[[nodiscard]] bool parseRegistryPayload(support::ByteCursor &C,
+                                        std::vector<trace::InstrInfo> &Instrs,
+                                        std::vector<trace::AllocSiteInfo> &Sites);
 
 } // namespace traceio
 } // namespace orp

@@ -2,6 +2,7 @@
 
 #include "traceio/TraceReader.h"
 
+#include "memsim/Allocator.h"
 #include "support/Checksum.h"
 #include "support/Endian.h"
 #include "support/VarInt.h"
@@ -81,6 +82,9 @@ bool TraceReader::parseHeader() {
   uint32_t Got = crc32(Bytes.data(), 32);
   if (Want != Got)
     return failed("header checksum mismatch (corrupted file)");
+  if (!memsim::isValidAllocPolicy(Info.AllocPolicy))
+    return failed("unknown allocation policy " +
+                  std::to_string(Info.AllocPolicy));
   uint64_t RegistryOffset = readLE64(Bytes.data() + 16);
   if (RegistryOffset == 0)
     return failed("unfinalized trace: the writer never close()d it");
@@ -148,12 +152,10 @@ bool TraceReader::parseRegistry(uint64_t Offset) {
   if (End + 1 != Size)
     return failed("trailing garbage after end marker");
 
+  std::string Label = "registry section at byte " + std::to_string(Pos);
   std::string PayloadErr;
-  if (!parseRegistryPayload(Bytes.data() + Pos, PayloadLen, Instrs, Sites,
-                            PayloadErr))
-    return failed("registry section at byte " + std::to_string(Pos) + ": " +
-                  PayloadErr);
-  return true;
+  support::ByteCursor C(Bytes.data() + Pos, PayloadLen, Label, PayloadErr);
+  return parseRegistryPayload(C, Instrs, Sites) || failed(PayloadErr);
 }
 
 bool TraceReader::forEachEvent(

@@ -2,8 +2,7 @@
 
 #include "whomp/OmsgArchive.h"
 
-#include "support/Checksum.h"
-#include "support/Endian.h"
+#include "support/ArtifactFrame.h"
 #include "support/Error.h"
 #include "support/VarInt.h"
 
@@ -36,24 +35,12 @@ OmsgArchive OmsgArchive::build(const WhompProfiler &Profiler,
   return Archive;
 }
 
-// Header layout: [magic 4]["version" u8][payload CRC-32, LE u32]; the
-// payload (everything after the 9-byte header) is LEB128-encoded and so
-// byte-order free by construction.
-constexpr size_t kArchiveHeaderSize = 9;
-
 std::vector<uint8_t> OmsgArchive::serialize() const {
   std::vector<uint8_t> Out;
-  // Seed capacity past the header. Also keeps GCC 12's stringop-overflow
-  // tracking from misreading the first tiny growth as an overflow.
-  Out.reserve(64);
-  Out.insert(Out.end(), kMagic, kMagic + 4);
-  Out.push_back(kFormatVersion);
-  appendLE32(0, Out); // payload checksum, patched below
+  support::beginFrame(kMagic, kFormatVersion, Out);
   encodeULEB128(GrammarImages.size(), Out);
-  for (const auto &Image : GrammarImages) {
-    encodeULEB128(Image.size(), Out);
-    Out.insert(Out.end(), Image.begin(), Image.end());
-  }
+  for (const auto &Image : GrammarImages)
+    support::appendLenPrefixed(Image, Out);
   encodeULEB128(Aux.size(), Out);
   for (const ObjectAux &Row : Aux) {
     encodeULEB128(Row.Group, Out);
@@ -66,70 +53,27 @@ std::vector<uint8_t> OmsgArchive::serialize() const {
     if (Freed)
       encodeULEB128(Row.FreeTime, Out);
   }
-  uint32_t Crc = crc32(Out.data() + kArchiveHeaderSize,
-                       Out.size() - kArchiveHeaderSize);
-  for (unsigned I = 0; I != 4; ++I)
-    Out[5 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+  support::sealFrame(Out);
   return Out;
 }
 
 bool OmsgArchive::deserialize(const std::vector<uint8_t> &Bytes,
                               OmsgArchive &Out, std::string &Err) {
   Out = OmsgArchive();
-  if (Bytes.size() < kArchiveHeaderSize) {
-    Err = "OMSG archive: truncated header";
-    return false;
-  }
-  for (unsigned I = 0; I != 4; ++I)
-    if (Bytes[I] != kMagic[I]) {
-      Err = "OMSG archive: bad magic";
-      return false;
-    }
-  if (Bytes[4] == 0 || Bytes[4] > kFormatVersion) {
-    Err = "OMSG archive: unsupported format version " +
-          std::to_string(Bytes[4]);
-    return false;
-  }
-  uint32_t Want = readLE32(Bytes.data() + 5);
-  if (crc32(Bytes.data() + kArchiveHeaderSize,
-            Bytes.size() - kArchiveHeaderSize) != Want) {
-    Err = "OMSG archive: checksum mismatch (corrupted image)";
-    return false;
-  }
-
-  size_t Pos = kArchiveHeaderSize;
-  auto ReadU = [&](const char *What, uint64_t &Value) {
-    VarIntStatus S =
-        decodeULEB128Checked(Bytes.data(), Bytes.size(), Pos, Value);
-    if (S != VarIntStatus::Ok) {
-      Err = std::string("OMSG archive: ") + What + ": " +
-            varIntStatusName(S) + " varint";
-      return false;
-    }
-    return true;
-  };
+  support::ByteCursor C = support::openFrame(Bytes, kMagic, kFormatVersion,
+                                             "OMSG archive", Err);
   uint64_t NumGrammars = 0;
-  if (!ReadU("grammar count", NumGrammars))
-    return false;
   // Each grammar needs at least its length byte; larger counts cannot be
   // satisfied and would size the reserve below from hostile input.
-  if (NumGrammars > Bytes.size() - Pos) {
-    Err = "OMSG archive: grammar count exceeds remaining bytes";
+  if (!C.readU("grammar count", NumGrammars) ||
+      !C.checkCount("grammar count", NumGrammars, 1))
     return false;
-  }
   Out.GrammarImages.reserve(NumGrammars);
   Out.Streams.reserve(NumGrammars);
   for (uint64_t G = 0; G != NumGrammars; ++G) {
-    uint64_t Len = 0;
-    if (!ReadU("grammar image length", Len))
+    std::vector<uint8_t> Image;
+    if (!C.readLenBytes("grammar image", Image))
       return false;
-    if (Len > Bytes.size() - Pos) {
-      Err = "OMSG archive: grammar image overruns the buffer";
-      return false;
-    }
-    std::vector<uint8_t> Image(Bytes.begin() + Pos,
-                               Bytes.begin() + Pos + Len);
-    Pos += Len;
     std::vector<uint64_t> Stream;
     if (!sequitur::SequiturGrammar::deserializeAndExpandChecked(
             Image.data(), Image.size(), Stream, Err))
@@ -138,42 +82,28 @@ bool OmsgArchive::deserialize(const std::vector<uint8_t> &Bytes,
     Out.GrammarImages.push_back(std::move(Image));
   }
   uint64_t NumAux = 0;
-  if (!ReadU("object count", NumAux))
-    return false;
   // Each aux row is at least 5 payload bytes.
-  if (NumAux > (Bytes.size() - Pos) / 5 + 1) {
-    Err = "OMSG archive: object count exceeds remaining bytes";
+  if (!C.readU("object count", NumAux) ||
+      !C.checkCount("object count", NumAux, 5))
     return false;
-  }
   Out.Aux.reserve(NumAux);
   for (uint64_t I = 0; I != NumAux; ++I) {
     ObjectAux Row;
     uint64_t Group = 0;
-    if (!ReadU("object group", Group) ||
-        !ReadU("object serial", Row.Serial) ||
-        !ReadU("object size", Row.Size) ||
-        !ReadU("object alloc time", Row.AllocTime))
+    bool Freed = false;
+    if (!C.readU("object group", Group) ||
+        !C.readU("object serial", Row.Serial) ||
+        !C.readU("object size", Row.Size) ||
+        !C.readU("object alloc time", Row.AllocTime) ||
+        !C.readFlag("freed flag", Freed))
       return false;
     Row.Group = static_cast<omc::GroupId>(Group);
-    if (Pos >= Bytes.size()) {
-      Err = "OMSG archive: truncated object row";
-      return false;
-    }
-    uint8_t Freed = Bytes[Pos++];
-    if (Freed > 1) {
-      Err = "OMSG archive: bad freed flag";
-      return false;
-    }
     Row.FreeTime = omc::ObjectManager::kLiveForever;
-    if (Freed && !ReadU("object free time", Row.FreeTime))
+    if (Freed && !C.readU("object free time", Row.FreeTime))
       return false;
     Out.Aux.push_back(Row);
   }
-  if (Pos != Bytes.size()) {
-    Err = "OMSG archive: trailing bytes";
-    return false;
-  }
-  return true;
+  return C.expectEnd();
 }
 
 bool OmsgArchive::mergeSequential(

@@ -52,12 +52,11 @@ public:
                            const omc::ObjectManager *Omc = nullptr);
 
   /// Archive magic ("OMSA") and current format version.
-  static constexpr uint8_t kMagic[4] = {'O', 'M', 'S', 'A'};
+  static constexpr char kMagic[4] = {'O', 'M', 'S', 'A'};
   static constexpr uint8_t kFormatVersion = 1;
 
-  /// Serializes the archive: a fixed header (magic, version, explicit
-  /// little-endian u32 payload CRC-32 — byte order is pinned so archives
-  /// are portable across hosts) followed by the ULEB128-framed grammar
+  /// Serializes the archive: the common artifact header
+  /// (support/ArtifactFrame.h) followed by the ULEB128-framed grammar
   /// images and aux rows.
   std::vector<uint8_t> serialize() const;
 

@@ -3,8 +3,7 @@
 #include "whomp/OmsgStats.h"
 
 #include "sequitur/Sequitur.h"
-#include "support/Checksum.h"
-#include "support/Endian.h" // orp-lint: allow(endian-io)
+#include "support/ArtifactFrame.h"
 #include "support/VarInt.h"
 
 using namespace orp;
@@ -65,11 +64,7 @@ bool OmsgStats::merge(const OmsgStats &Other, std::string &Err) {
 
 std::vector<uint8_t> OmsgStats::serialize() const {
   std::vector<uint8_t> Out;
-  Out.reserve(64);
-  for (char C : kMagic)
-    Out.push_back(static_cast<uint8_t>(C));
-  Out.push_back(kFormatVersion);
-  appendLE32(0, Out); // Payload CRC, patched below.
+  support::beginFrame(kMagic, kFormatVersion, Out);
   encodeULEB128(Runs, Out);
   encodeULEB128(AccessCount, Out);
   encodeULEB128(ObjectCount, Out);
@@ -83,81 +78,41 @@ std::vector<uint8_t> OmsgStats::serialize() const {
     for (uint64_t Count : Dim.HotRuleSpectrum)
       encodeULEB128(Count, Out);
   }
-  uint32_t Crc = crc32(Out.data() + kHeaderSize, Out.size() - kHeaderSize);
-  for (unsigned I = 0; I != 4; ++I)
-    Out[5 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+  support::sealFrame(Out);
   return Out;
 }
 
 bool OmsgStats::deserialize(const std::vector<uint8_t> &Bytes,
                             OmsgStats &Out, std::string &Err) {
   Out = OmsgStats();
-  if (Bytes.size() < kHeaderSize) {
-    Err = "OMSG stats: truncated header";
-    return false;
-  }
-  for (unsigned I = 0; I != 4; ++I)
-    if (Bytes[I] != static_cast<uint8_t>(kMagic[I])) {
-      Err = "OMSG stats: bad magic";
-      return false;
-    }
-  if (Bytes[4] != kFormatVersion) {
-    Err = "OMSG stats: unsupported format version " +
-          std::to_string(Bytes[4]);
-    return false;
-  }
-  uint32_t Stored = readLE32(Bytes.data() + 5);
-  if (crc32(Bytes.data() + kHeaderSize, Bytes.size() - kHeaderSize) !=
-      Stored) {
-    Err = "OMSG stats: checksum mismatch";
-    return false;
-  }
-  size_t Pos = kHeaderSize;
-  auto ReadU = [&](const char *What, uint64_t &Value) {
-    VarIntStatus S =
-        decodeULEB128Checked(Bytes.data(), Bytes.size(), Pos, Value);
-    if (S != VarIntStatus::Ok) {
-      Err = std::string("OMSG stats: ") + What + ": " +
-            varIntStatusName(S) + " varint";
-      return false;
-    }
-    return true;
-  };
+  support::ByteCursor C = support::openFrame(Bytes, kMagic, kFormatVersion,
+                                             "OMSG stats", Err);
   uint64_t NumDims = 0;
-  if (!ReadU("run count", Out.Runs) ||
-      !ReadU("access count", Out.AccessCount) ||
-      !ReadU("object count", Out.ObjectCount) ||
-      !ReadU("dimension count", NumDims))
-    return false;
   // Each dimension block needs at least 5 + kSpectrumBuckets bytes.
-  if (NumDims > (Bytes.size() - Pos) /
-                    (5 + DimensionStats::kSpectrumBuckets) + 1) {
-    Err = "OMSG stats: dimension count exceeds remaining bytes";
+  if (!C.readU("run count", Out.Runs) ||
+      !C.readU("access count", Out.AccessCount) ||
+      !C.readU("object count", Out.ObjectCount) ||
+      !C.readU("dimension count", NumDims) ||
+      !C.checkCount("dimension count", NumDims,
+                    5 + DimensionStats::kSpectrumBuckets))
     return false;
-  }
   Out.Dims.reserve(NumDims);
   for (uint64_t D = 0; D != NumDims; ++D) {
     DimensionStats Dim;
     uint64_t Buckets = 0;
-    if (!ReadU("input length", Dim.InputLength) ||
-        !ReadU("grammar bytes", Dim.GrammarBytes) ||
-        !ReadU("rule count", Dim.RuleCount) ||
-        !ReadU("body symbols", Dim.BodySymbols) ||
-        !ReadU("bucket count", Buckets))
+    if (!C.readU("input length", Dim.InputLength) ||
+        !C.readU("grammar bytes", Dim.GrammarBytes) ||
+        !C.readU("rule count", Dim.RuleCount) ||
+        !C.readU("body symbols", Dim.BodySymbols) ||
+        !C.readU("bucket count", Buckets))
       return false;
-    if (Buckets != DimensionStats::kSpectrumBuckets) {
-      Err = "OMSG stats: unexpected spectrum bucket count " +
-            std::to_string(Buckets);
-      return false;
-    }
+    if (Buckets != DimensionStats::kSpectrumBuckets)
+      return C.fail("unexpected spectrum bucket count " +
+                    std::to_string(Buckets));
     for (unsigned B = 0; B != DimensionStats::kSpectrumBuckets; ++B)
-      if (!ReadU("spectrum bucket", Dim.HotRuleSpectrum[B]))
+      if (!C.readU("spectrum bucket", Dim.HotRuleSpectrum[B]))
         return false;
     Out.Dims.push_back(Dim);
   }
-  if (Pos != Bytes.size()) {
-    Err = "OMSG stats: trailing bytes";
-    return false;
-  }
-  return true;
+  return C.expectEnd();
 }

@@ -55,11 +55,11 @@ struct DimensionStats {
 /// A mergeable OMSG statistics artifact.
 class OmsgStats {
 public:
-  /// On-disk format: "OMST" magic, one version byte, a little-endian
-  /// CRC-32 of the payload, then the LEB128 payload.
+  /// On-disk format: the common artifact header
+  /// (support/ArtifactFrame.h) with this magic and version, then the
+  /// LEB128 payload.
   static constexpr char kMagic[4] = {'O', 'M', 'S', 'T'};
   static constexpr uint8_t kFormatVersion = 1;
-  static constexpr size_t kHeaderSize = 4 + 1 + 4;
 
   /// Digests \p Archive (one run) by rebuilding each dimension grammar
   /// from its expanded stream and reading off the structural counters.

@@ -17,6 +17,7 @@
 #include "omc/ObjectManager.h"
 #include "omc/OmcCheckpoint.h"
 #include "session/ProfileSession.h"
+#include "support/ArtifactFrame.h"
 #include "traceio/TraceReader.h"
 #include "traceio/TraceWriter.h"
 #include "whomp/OmsgArchive.h"
@@ -368,7 +369,7 @@ TEST(HardenedDeserializeTest, LeapRejectsCorruptHeaderAndPayload) {
   EXPECT_NE(Err.find("version"), std::string::npos) << Err;
 
   // Every single-byte payload flip must be caught by the checksum.
-  for (size_t I = leap::LeapProfileData::kHeaderSize; I < Bytes.size();
+  for (size_t I = support::kFrameHeaderSize; I < Bytes.size();
        I += 11) {
     auto Flipped = Bytes;
     Flipped[I] ^= 0x40;
@@ -442,12 +443,10 @@ TEST(OmcCheckpointTest, RoundTripPreservesStateAndFutureBehavior) {
   omc::OmcCheckpoint::serialize(Original, Image);
 
   omc::ObjectManager Restored;
-  size_t Pos = 0;
   std::string Err;
-  ASSERT_TRUE(omc::OmcCheckpoint::restore(Image.data(), Image.size(), Pos,
-                                          Restored, Err))
-      << Err;
-  EXPECT_EQ(Pos, Image.size()) << "restore must consume the whole section";
+  support::ByteCursor C(Image.data(), Image.size(), "omc checkpoint", Err);
+  ASSERT_TRUE(omc::OmcCheckpoint::restore(C, Restored)) << Err;
+  EXPECT_EQ(C.pos(), Image.size()) << "restore must consume the whole section";
 
   ASSERT_EQ(Restored.records().size(), Original.records().size());
   for (size_t I = 0; I != Original.records().size(); ++I) {
@@ -496,25 +495,24 @@ TEST(OmcCheckpointTest, RejectsTruncationAndCorruption) {
 
   for (size_t Len = 0; Len != Image.size(); ++Len) {
     omc::ObjectManager Fresh;
-    size_t Pos = 0;
     std::string Err;
+    support::ByteCursor C(Image.data(), Len, "omc checkpoint", Err);
     // A strict prefix either fails...
-    if (!omc::OmcCheckpoint::restore(Image.data(), Len, Pos, Fresh, Err)) {
+    if (!omc::OmcCheckpoint::restore(C, Fresh)) {
       EXPECT_FALSE(Err.empty()) << "prefix " << Len;
       continue;
     }
     // ...or (rarely) parses as a shorter valid section; then it must
     // have consumed exactly the prefix.
-    EXPECT_EQ(Pos, Len);
+    EXPECT_EQ(C.pos(), Len);
   }
 
   // A used target is refused.
   omc::ObjectManager Used;
   driveOmc(Used);
-  size_t Pos = 0;
   std::string Err;
-  EXPECT_FALSE(
-      omc::OmcCheckpoint::restore(Image.data(), Image.size(), Pos, Used, Err));
+  support::ByteCursor C(Image.data(), Image.size(), "omc checkpoint", Err);
+  EXPECT_FALSE(omc::OmcCheckpoint::restore(C, Used));
   EXPECT_NE(Err.find("fresh"), std::string::npos) << Err;
 }
 

@@ -11,11 +11,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ProfilingSession.h"
+#include "lmad/LmadCompressor.h"
 #include "session/Client.h"
 #include "session/Daemon.h"
 #include "session/ProfileSession.h"
 #include "session/SessionManager.h"
 #include "session/Wire.h"
+#include "support/VarInt.h"
 #include "support/Version.h"
 #include "support/WorkerPool.h"
 #include "telemetry/Registry.h"
@@ -441,6 +443,64 @@ TEST(WireTest, OpenRequestRoundTrips) {
   EXPECT_FALSE(
       session::decodeOpen(Payload.data(), Payload.size() - 3, Out, Err));
   EXPECT_FALSE(Err.empty());
+}
+
+namespace {
+
+/// A hand-built OPEN payload, so tests can place values encodeOpen's
+/// typed request cannot hold: name "s", \p Policy, seed 0, both
+/// profilers, \p Cap, and one instruction of kind \p Kind.
+std::vector<uint8_t> openPayload(uint8_t Policy, uint64_t Cap,
+                                 uint8_t Kind) {
+  std::vector<uint8_t> P = {1, 's', Policy, 0, 0, 0, 0, 0, 0, 0, 0, 3};
+  encodeULEB128(Cap, P);
+  P.insert(P.end(), {/*instrs=*/1, /*name=*/1, 'i', Kind, /*sites=*/0});
+  return P;
+}
+
+/// Decodes \p Payload as an OPEN frame, expecting rejection with
+/// \p Needle in the error.
+void expectOpenRejected(const std::vector<uint8_t> &Payload,
+                        const std::string &Needle) {
+  session::OpenRequest Out;
+  std::string Err;
+  EXPECT_FALSE(session::decodeOpen(Payload.data(), Payload.size(), Out, Err));
+  EXPECT_NE(Err.find(Needle), std::string::npos) << Err;
+}
+
+} // namespace
+
+TEST(WireTest, OpenAcceptsTheHandBuiltPayload) {
+  session::OpenRequest Out;
+  std::string Err;
+  std::vector<uint8_t> P =
+      openPayload(3, lmad::LmadCompressor::MaxDescriptorCap, /*Store=*/1);
+  ASSERT_TRUE(session::decodeOpen(P.data(), P.size(), Out, Err)) << Err;
+  EXPECT_EQ(Out.Config.Policy, memsim::AllocPolicy::Segregated);
+  EXPECT_EQ(Out.Config.MaxLmads, lmad::LmadCompressor::MaxDescriptorCap);
+  ASSERT_EQ(Out.Instrs.size(), 1u);
+  EXPECT_EQ(Out.Instrs[0].Kind, trace::AccessKind::Store);
+}
+
+TEST(WireTest, OpenRejectsUnknownAllocPolicy) {
+  expectOpenRejected(openPayload(4, 30, 0),
+                     "OPEN frame: unknown allocation policy 4");
+}
+
+TEST(WireTest, OpenRejectsImplausibleDescriptorCap) {
+  // 0 and 2^32 would truncate into a session whose own .leap the
+  // profile parser rejects; the cap bound is shared with that parser.
+  expectOpenRejected(openPayload(0, 0, 0), "implausible descriptor cap 0");
+  expectOpenRejected(openPayload(0, 1ull << 32, 0),
+                     "implausible descriptor cap 4294967296");
+  expectOpenRejected(openPayload(0, lmad::LmadCompressor::MaxDescriptorCap + 1,
+                                 0),
+                     "implausible descriptor cap");
+}
+
+TEST(WireTest, OpenRejectsUnknownAccessKind) {
+  expectOpenRejected(openPayload(0, 30, 2),
+                     "instruction kind: unknown access kind 2");
 }
 
 TEST(WireTest, EventsHeaderAndCloseSummaryRoundTrip) {

@@ -1,5 +1,7 @@
 //===- tests/support_test.cpp - Support library unit tests ---------------===//
 
+#include "support/ArtifactFrame.h"
+#include "support/ByteCursor.h"
 #include "support/Checksum.h"
 #include "support/Endian.h"
 #include "support/Histogram.h"
@@ -777,4 +779,157 @@ TEST(TablePrinterTest, PrintUsesReportStreamByDefault) {
   std::string Out(Buf, N);
   EXPECT_NE(Out.find("k  v"), std::string::npos);
   EXPECT_NE(Out.find("a  1"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// ByteCursor / ArtifactFrame
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr char kTestMagic[4] = {'T', 'E', 'S', 'T'};
+
+/// A framed image whose payload is uleb 300, a flag, "hi" and 2 raw
+/// bytes.
+std::vector<uint8_t> testFrame() {
+  std::vector<uint8_t> Out;
+  support::beginFrame(kTestMagic, 3, Out);
+  encodeULEB128(300, Out);
+  Out.push_back(1);
+  support::appendLenPrefixed(std::string_view("hi"), Out);
+  Out.insert(Out.end(), {0xab, 0xcd});
+  support::sealFrame(Out);
+  return Out;
+}
+
+/// Opens \p Bytes as a "test" frame and expects \p Want as the error.
+void expectOpenFails(const std::vector<uint8_t> &Bytes,
+                     const std::string &Want) {
+  std::string Err;
+  support::ByteCursor C =
+      support::openFrame(Bytes, kTestMagic, 3, "test artifact", Err);
+  EXPECT_TRUE(C.failed());
+  EXPECT_EQ(Err, Want);
+  uint64_t V = 0;
+  EXPECT_FALSE(C.readU("field", V)) << "a failed frame must read nothing";
+  EXPECT_EQ(Err, Want) << "the first error stays latched";
+}
+
+} // namespace
+
+TEST(ArtifactFrameTest, HeaderLayoutAndRoundTrip) {
+  std::vector<uint8_t> Bytes = testFrame();
+  ASSERT_EQ(Bytes.size(), support::kFrameHeaderSize + 2 + 1 + 3 + 2);
+  EXPECT_TRUE(std::equal(kTestMagic, kTestMagic + 4, Bytes.begin()));
+  EXPECT_EQ(Bytes[4], 3);
+  EXPECT_EQ(readLE32(Bytes.data() + 5),
+            crc32(Bytes.data() + support::kFrameHeaderSize,
+                  Bytes.size() - support::kFrameHeaderSize));
+
+  std::string Err;
+  support::ByteCursor C =
+      support::openFrame(Bytes, kTestMagic, 3, "test artifact", Err);
+  uint64_t N = 0;
+  bool Flag = false;
+  std::string Str;
+  uint16_t Raw = 0;
+  ASSERT_TRUE(C.readU("count", N) && C.readFlag("flag", Flag) &&
+              C.readString("name", Str) && C.readLE("raw", Raw))
+      << Err;
+  EXPECT_EQ(N, 300u);
+  EXPECT_TRUE(Flag);
+  EXPECT_EQ(Str, "hi");
+  EXPECT_EQ(Raw, 0xcdab);
+  EXPECT_TRUE(C.expectEnd());
+  EXPECT_TRUE(Err.empty());
+}
+
+TEST(ArtifactFrameTest, RejectsTruncatedHeader) {
+  std::vector<uint8_t> Bytes = testFrame();
+  Bytes.resize(support::kFrameHeaderSize - 1);
+  expectOpenFails(Bytes, "test artifact: truncated header");
+}
+
+TEST(ArtifactFrameTest, RejectsBadMagic) {
+  std::vector<uint8_t> Bytes = testFrame();
+  Bytes[3] = 'X';
+  expectOpenFails(Bytes, "test artifact: bad magic");
+}
+
+TEST(ArtifactFrameTest, RejectsWrongVersion) {
+  std::vector<uint8_t> Bytes = testFrame();
+  Bytes[4] = 2;
+  expectOpenFails(Bytes, "test artifact: unsupported format version 2");
+}
+
+TEST(ArtifactFrameTest, RejectsEveryPayloadBitFlip) {
+  std::vector<uint8_t> Good = testFrame();
+  for (size_t I = support::kFrameHeaderSize; I != Good.size(); ++I)
+    for (unsigned Bit = 0; Bit != 8; ++Bit) {
+      std::vector<uint8_t> Bytes = Good;
+      Bytes[I] ^= static_cast<uint8_t>(1u << Bit);
+      expectOpenFails(Bytes, "test artifact: checksum mismatch");
+    }
+}
+
+TEST(ByteCursorTest, ErrorsNameFormatAndField) {
+  const uint8_t Data[] = {0x80, 0x80};
+  std::string Err;
+  support::ByteCursor C(Data, sizeof(Data), "fmt", Err);
+  uint64_t V = 0;
+  EXPECT_FALSE(C.readU("width", V));
+  EXPECT_EQ(Err, "fmt: width: truncated varint");
+  EXPECT_EQ(C.remaining(), 0u);
+  // The first error is latched: later failures do not overwrite it.
+  EXPECT_FALSE(C.fail("second"));
+  EXPECT_EQ(Err, "fmt: width: truncated varint");
+  EXPECT_FALSE(C.expectEnd());
+}
+
+TEST(ByteCursorTest, RejectsOverlongAndBadFlagAndOverrun) {
+  {
+    const uint8_t Data[] = {0x81, 0x00}; // overlong encoding of 1
+    std::string Err;
+    support::ByteCursor C(Data, sizeof(Data), "fmt", Err);
+    uint64_t V = 0;
+    EXPECT_FALSE(C.readU("n", V));
+    EXPECT_EQ(Err, "fmt: n: overlong varint");
+  }
+  {
+    const uint8_t Data[] = {2};
+    std::string Err;
+    support::ByteCursor C(Data, sizeof(Data), "fmt", Err);
+    bool F = false;
+    EXPECT_FALSE(C.readFlag("live", F));
+    EXPECT_EQ(Err, "fmt: live: bad flag");
+  }
+  {
+    const uint8_t Data[] = {5, 'a', 'b'};
+    std::string Err;
+    support::ByteCursor C(Data, sizeof(Data), "fmt", Err);
+    std::vector<uint8_t> B;
+    EXPECT_FALSE(C.readLenBytes("image", B));
+    EXPECT_EQ(Err, "fmt: image: truncated");
+  }
+}
+
+TEST(ByteCursorTest, CheckCountCapsByRemainingBytes) {
+  const uint8_t Data[10] = {};
+  std::string Err;
+  support::ByteCursor C(Data, sizeof(Data), "fmt", Err);
+  // 10 bytes at 3 per item hold at most 3, plus one item of slack.
+  EXPECT_TRUE(C.checkCount("rows", 4, 3));
+  EXPECT_FALSE(C.checkCount("rows", 5, 3));
+  EXPECT_EQ(Err, "fmt: rows: 5 exceeds remaining bytes");
+}
+
+TEST(ByteCursorTest, ExpectEndRejectsTrailingBytes) {
+  const uint8_t Data[] = {7, 0};
+  std::string Err;
+  support::ByteCursor C(Data, sizeof(Data), "fmt", Err);
+  uint8_t B = 0;
+  ASSERT_TRUE(C.readByte("b", B));
+  EXPECT_EQ(C.pos(), 1u);
+  EXPECT_FALSE(C.expectEnd());
+  EXPECT_EQ(Err, "fmt: trailing bytes");
 }

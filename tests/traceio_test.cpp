@@ -337,6 +337,18 @@ TEST_F(TraceIoCorruptionTest, FlippedHeaderByteIsRejected) {
   expectRejected(std::move(Bad), "header checksum mismatch");
 }
 
+TEST_F(TraceIoCorruptionTest, ForgedAllocPolicyIsRejected) {
+  // A header whose policy byte names no AllocPolicy, re-checksummed so
+  // it passes the CRC gate: the byte must be range-checked before the
+  // replayer casts it.
+  std::vector<uint8_t> Bad = Good;
+  Bad[6] = 9;
+  uint32_t Crc = crc32(Bad.data(), 32);
+  for (unsigned I = 0; I != 4; ++I)
+    Bad[32 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+  expectRejected(std::move(Bad), "unknown allocation policy 9");
+}
+
 TEST_F(TraceIoCorruptionTest, FlippedBlockPayloadByteIsRejected) {
   // Well inside the first event block's payload.
   std::vector<uint8_t> Bad = Good;

@@ -24,8 +24,8 @@
 #include "advisor/Telemetry.h"
 #include "advisor/TieredReplay.h"
 #include "leap/LeapProfileData.h"
+#include "support/Cli.h"
 #include "support/LogSink.h"
-#include "support/ParseNumber.h"
 #include "support/TablePrinter.h"
 #include "support/Version.h"
 #include "telemetry/Registry.h"
@@ -40,10 +40,17 @@
 #include <vector>
 
 using namespace orp;
+using support::flagValue;
 using support::LogLevel;
 using support::logMessage;
+using support::numericFlag;
+using support::readArtifactFile;
+using support::writeArtifactFile;
 
 namespace {
+
+/// Names this tool in artifact-file diagnostics.
+constexpr const char *kTool = "orp-advise";
 
 int usage(const char *Argv0) {
   logMessage(
@@ -68,59 +75,6 @@ int usage(const char *Argv0) {
   return 1;
 }
 
-/// Writes opaque, already-serialized artifact bytes to \p Path.
-bool writeArtifactFile(const std::string &Path,
-                       const std::vector<uint8_t> &Bytes) {
-  // orp-lint: allow(endian-io): opaque byte image; all field encoding
-  // happened inside serialize().
-  std::FILE *Out = std::fopen(Path.c_str(), "wb");
-  if (!Out ||
-      std::fwrite(Bytes.data(), 1, Bytes.size(), Out) != Bytes.size()) {
-    logMessage(LogLevel::Error, "orp-advise: cannot write '%s'",
-               Path.c_str());
-    if (Out)
-      std::fclose(Out);
-    return false;
-  }
-  std::fclose(Out);
-  return true;
-}
-
-/// Reads a whole artifact file into \p Bytes.
-bool readArtifactFile(const std::string &Path, std::vector<uint8_t> &Bytes) {
-  std::FILE *In = std::fopen(Path.c_str(), "rb");
-  if (!In) {
-    logMessage(LogLevel::Error, "orp-advise: cannot read '%s'",
-               Path.c_str());
-    return false;
-  }
-  uint8_t Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), In)) != 0)
-    Bytes.insert(Bytes.end(), Buf, Buf + N);
-  bool Ok = !std::ferror(In);
-  std::fclose(In);
-  if (!Ok)
-    logMessage(LogLevel::Error, "orp-advise: error reading '%s'",
-               Path.c_str());
-  return Ok;
-}
-
-const char *flagValue(const std::string &Arg, const char *Prefix) {
-  size_t Len = std::strlen(Prefix);
-  return Arg.compare(0, Len, Prefix) == 0 ? Arg.c_str() + Len : nullptr;
-}
-
-bool numericFlag(const char *Cmd, const char *Flag, const char *Text,
-                 uint64_t &Out) {
-  if (support::parseUint64(Text, Out))
-    return true;
-  logMessage(LogLevel::Error,
-             "orp-advise %s: %s expects an unsigned integer, got '%s'", Cmd,
-             Flag, Text);
-  return false;
-}
-
 int cmdAdvise(int Argc, char **Argv) {
   std::vector<std::string> Inputs;
   std::string OutPath;
@@ -130,15 +84,16 @@ int cmdAdvise(int Argc, char **Argv) {
     if (Arg == "-o" && I + 1 != Argc) {
       OutPath = Argv[++I];
     } else if (const char *V = flagValue(Arg, "--pool-min-objects=")) {
-      if (!numericFlag("advise", "--pool-min-objects", V,
+      if (!numericFlag("orp-advise advise", "--pool-min-objects", V,
                        Opts.PoolMinObjects))
         return 1;
     } else if (const char *V = flagValue(Arg, "--min-pairs=")) {
-      if (!numericFlag("advise", "--min-pairs", V, Opts.MinPairCount))
+      if (!numericFlag("orp-advise advise", "--min-pairs", V,
+                       Opts.MinPairCount))
         return 1;
     } else if (const char *V = flagValue(Arg, "--max-layout=")) {
       uint64_t N = 0;
-      if (!numericFlag("advise", "--max-layout", V, N))
+      if (!numericFlag("orp-advise advise", "--max-layout", V, N))
         return 1;
       Opts.MaxLayoutEntries = static_cast<size_t>(N);
     } else if (Arg[0] != '-') {
@@ -162,7 +117,7 @@ int cmdAdvise(int Argc, char **Argv) {
   bool HaveLeap = false, HaveOmsg = false;
   for (const std::string &Path : Inputs) {
     std::vector<uint8_t> Bytes;
-    if (!readArtifactFile(Path, Bytes))
+    if (!readArtifactFile(kTool, Path, Bytes))
       return 1;
     std::string Err;
     if (Bytes.size() >= 4 &&
@@ -209,7 +164,7 @@ int cmdAdvise(int Argc, char **Argv) {
 
   advisor::HotColdClassifier Classifier(Opts);
   advisor::AdvisorReport Report = Classifier.classify(Leap, Omsg);
-  if (!writeArtifactFile(OutPath, Report.serialize()))
+  if (!writeArtifactFile(kTool, OutPath, Report.serialize()))
     return 1;
 
   std::printf("%s: %zu groups ranked (%zu hot, %zu pool candidates), "
@@ -257,10 +212,11 @@ int cmdSimulate(int Argc, char **Argv) {
     } else if (const char *V = flagValue(Arg, "--policy=")) {
       PolicyArg = V;
     } else if (const char *V = flagValue(Arg, "--fast-bytes=")) {
-      if (!numericFlag("simulate", "--fast-bytes", V, FastBytes))
+      if (!numericFlag("orp-advise simulate", "--fast-bytes", V, FastBytes))
         return 1;
     } else if (const char *V = flagValue(Arg, "--fast-fraction=")) {
-      if (!numericFlag("simulate", "--fast-fraction", V, FastFraction))
+      if (!numericFlag("orp-advise simulate", "--fast-fraction", V,
+                       FastFraction))
         return 1;
       if (FastFraction == 0 || FastFraction > 100) {
         logMessage(LogLevel::Error,
@@ -289,7 +245,7 @@ int cmdSimulate(int Argc, char **Argv) {
   bool HaveAdvice = false;
   if (!AdvicePath.empty()) {
     std::vector<uint8_t> Bytes;
-    if (!readArtifactFile(AdvicePath, Bytes))
+    if (!readArtifactFile(kTool, AdvicePath, Bytes))
       return 1;
     std::string Err;
     if (!advisor::AdvisorReport::deserialize(Bytes, Report, Err)) {

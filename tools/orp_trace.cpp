@@ -36,8 +36,8 @@
 #include "core/ProfilingSession.h"
 #include "leap/LeapProfileData.h"
 #include "session/Client.h"
+#include "support/Cli.h"
 #include "support/LogSink.h"
-#include "support/ParseNumber.h"
 #include "support/TablePrinter.h"
 #include "support/Version.h"
 #include "telemetry/Registry.h"
@@ -59,10 +59,17 @@
 #include <vector>
 
 using namespace orp;
+using support::flagValue;
 using support::LogLevel;
 using support::logMessage;
+using support::numericFlag;
+using support::readArtifactFile;
+using support::writeArtifactFile;
 
 namespace {
+
+/// Names this tool in artifact-file diagnostics.
+constexpr const char *kTool = "orp-trace";
 
 int usage(const char *Argv0) {
   logMessage(
@@ -123,43 +130,6 @@ int usage(const char *Argv0) {
   return 1;
 }
 
-/// Writes opaque, already-serialized artifact bytes to \p Path.
-bool writeArtifactFile(const std::string &Path,
-                       const std::vector<uint8_t> &Bytes) {
-  // orp-lint: allow(endian-io): opaque byte image; all field encoding
-  // happened inside serialize().
-  std::FILE *Out = std::fopen(Path.c_str(), "wb");
-  if (!Out ||
-      std::fwrite(Bytes.data(), 1, Bytes.size(), Out) != Bytes.size()) {
-    logMessage(LogLevel::Error, "orp-trace: cannot write '%s'",
-               Path.c_str());
-    if (Out)
-      std::fclose(Out);
-    return false;
-  }
-  std::fclose(Out);
-  return true;
-}
-
-/// Reads a whole artifact file into \p Bytes.
-bool readArtifactFile(const std::string &Path, std::vector<uint8_t> &Bytes) {
-  std::FILE *In = std::fopen(Path.c_str(), "rb");
-  if (!In) {
-    logMessage(LogLevel::Error, "orp-trace: cannot read '%s'", Path.c_str());
-    return false;
-  }
-  uint8_t Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), In)) != 0)
-    Bytes.insert(Bytes.end(), Buf, Buf + N);
-  bool Ok = !std::ferror(In);
-  std::fclose(In);
-  if (!Ok)
-    logMessage(LogLevel::Error, "orp-trace: error reading '%s'",
-               Path.c_str());
-  return Ok;
-}
-
 /// The artifact families the merge/diff verbs understand, sniffed from
 /// the four-byte magic.
 enum class ArtifactKind { Leap, Omsa, Omst, Unknown };
@@ -193,34 +163,6 @@ const char *artifactKindName(ArtifactKind K) {
   return "unknown";
 }
 
-const char *flagValue(const std::string &Arg, const char *Prefix) {
-  size_t Len = std::strlen(Prefix);
-  return Arg.compare(0, Len, Prefix) == 0 ? Arg.c_str() + Len : nullptr;
-}
-
-/// Parses the numeric value of \p Flag strictly (whole string, no
-/// overflow; see support::parseUint64), reporting a usage error via the
-/// log sink when it is malformed.
-bool numericFlag(const char *Cmd, const char *Flag, const char *Text,
-                 uint64_t &Out) {
-  if (support::parseUint64(Text, Out))
-    return true;
-  logMessage(LogLevel::Error,
-             "orp-trace %s: %s expects an unsigned integer, got '%s'", Cmd,
-             Flag, Text);
-  return false;
-}
-
-bool numericFlag(const char *Cmd, const char *Flag, const char *Text,
-                 unsigned &Out) {
-  if (support::parseUnsigned(Text, Out))
-    return true;
-  logMessage(LogLevel::Error,
-             "orp-trace %s: %s expects an unsigned integer, got '%s'", Cmd,
-             Flag, Text);
-  return false;
-}
-
 bool parseAllocPolicy(const char *Name, memsim::AllocPolicy &Policy) {
   if (!std::strcmp(Name, "first-fit"))
     Policy = memsim::AllocPolicy::FirstFit;
@@ -244,14 +186,14 @@ struct MetricsOptions {
 
   /// Handles one command-line argument; returns true when consumed,
   /// false with \p Failed set when it was a malformed metrics flag.
-  bool consume(const char *Cmd, const std::string &Arg, bool &Failed) {
+  bool consume(const char *Who, const std::string &Arg, bool &Failed) {
     Failed = false;
     if (const char *V = flagValue(Arg, "--metrics=")) {
       Path = V;
       return true;
     }
     if (const char *V = flagValue(Arg, "--metrics-interval=")) {
-      if (!numericFlag(Cmd, "--metrics-interval", V, Interval))
+      if (!numericFlag(Who, "--metrics-interval", V, Interval))
         Failed = true;
       return true;
     }
@@ -265,9 +207,9 @@ struct MetricsOptions {
         Format = telemetry::SnapshotFormat::Prometheus;
       else {
         logMessage(LogLevel::Error,
-                   "orp-trace %s: --metrics-format expects "
+                   "%s: --metrics-format expects "
                    "json|json-lines|prometheus, got '%s'",
-                   Cmd, V);
+                   Who, V);
         Failed = true;
       }
       return true;
@@ -340,7 +282,8 @@ int cmdRecord(int Argc, char **Argv) {
     } else if (const char *V = flagValue(Arg, "--out=")) {
       OutPath = V;
     } else if (const char *V = flagValue(Arg, "--format-version=")) {
-      if (!numericFlag("record", "--format-version", V, FormatVersion))
+      if (!numericFlag("orp-trace record", "--format-version", V,
+                       FormatVersion))
         return 1;
       if (FormatVersion < traceio::kFormatVersionV1 ||
           FormatVersion > traceio::kFormatVersionV2) {
@@ -357,16 +300,16 @@ int cmdRecord(int Argc, char **Argv) {
         return 1;
       }
     } else if (const char *V = flagValue(Arg, "--seed=")) {
-      if (!numericFlag("record", "--seed", V, Seed))
+      if (!numericFlag("orp-trace record", "--seed", V, Seed))
         return 1;
     } else if (const char *V = flagValue(Arg, "--env=")) {
-      if (!numericFlag("record", "--env", V, EnvSeed))
+      if (!numericFlag("orp-trace record", "--env", V, EnvSeed))
         return 1;
     } else if (const char *V = flagValue(Arg, "--scale=")) {
-      if (!numericFlag("record", "--scale", V, Scale))
+      if (!numericFlag("orp-trace record", "--scale", V, Scale))
         return 1;
     } else if (const char *V = flagValue(Arg, "--block-bytes=")) {
-      if (!numericFlag("record", "--block-bytes", V, BlockBytes))
+      if (!numericFlag("orp-trace record", "--block-bytes", V, BlockBytes))
         return 1;
       if (BlockBytes == 0) {
         logMessage(LogLevel::Error,
@@ -443,10 +386,10 @@ int cmdReplay(int Argc, char **Argv) {
     if (const char *V = flagValue(Arg, "--profiler=")) {
       Profiler = V;
     } else if (const char *V = flagValue(Arg, "--lmads=")) {
-      if (!numericFlag("replay", "--lmads", V, MaxLmads))
+      if (!numericFlag("orp-trace replay", "--lmads", V, MaxLmads))
         return 1;
     } else if (const char *V = flagValue(Arg, "--threads=")) {
-      if (!numericFlag("replay", "--threads", V, Threads))
+      if (!numericFlag("orp-trace replay", "--threads", V, Threads))
         return 1;
       if (Threads == 0) {
         logMessage(LogLevel::Error,
@@ -458,12 +401,13 @@ int cmdReplay(int Argc, char **Argv) {
     } else if (const char *V = flagValue(Arg, "--dump-leap=")) {
       DumpLeap = V;
     } else if (const char *V = flagValue(Arg, "--end-block=")) {
-      if (!numericFlag("replay", "--end-block", V, EndBlock))
+      if (!numericFlag("orp-trace replay", "--end-block", V, EndBlock))
         return 1;
     } else if (const char *V = flagValue(Arg, "--resume-from=")) {
       ResumeFrom = V;
     } else if (const char *V = flagValue(Arg, "--checkpoint-every=")) {
-      if (!numericFlag("replay", "--checkpoint-every", V, CheckpointEvery))
+      if (!numericFlag("orp-trace replay", "--checkpoint-every", V,
+                       CheckpointEvery))
         return 1;
       if (CheckpointEvery == 0) {
         logMessage(LogLevel::Error,
@@ -472,7 +416,7 @@ int cmdReplay(int Argc, char **Argv) {
       }
     } else if (const char *V = flagValue(Arg, "--checkpoint-out=")) {
       CheckpointOut = V;
-    } else if (Metrics.consume("replay", Arg, MetricsFailed)) {
+    } else if (Metrics.consume("orp-trace replay", Arg, MetricsFailed)) {
       if (MetricsFailed)
         return 1;
     } else if (Arg[0] != '-' && Path.empty()) {
@@ -529,7 +473,7 @@ int cmdReplay(int Argc, char **Argv) {
   if (!ResumeFrom.empty()) {
     std::vector<uint8_t> CkBytes;
     std::string Err;
-    if (!readArtifactFile(ResumeFrom, CkBytes))
+    if (!readArtifactFile(kTool, ResumeFrom, CkBytes))
       return 1;
     if (!Session.restoreCheckpoint(CkBytes, Reader, FirstBlock, Err)) {
       logMessage(LogLevel::Error, "orp-trace replay: %s: %s",
@@ -553,7 +497,7 @@ int cmdReplay(int Argc, char **Argv) {
         return;
       std::string CkPath =
           CheckpointOut + "." + std::to_string(Next) + ".orck";
-      if (!writeArtifactFile(CkPath, Session.checkpoint(Reader, Next)))
+      if (!writeArtifactFile(kTool, CkPath, Session.checkpoint(Reader, Next)))
         CheckpointFailed = true;
     };
 
@@ -568,7 +512,8 @@ int cmdReplay(int Argc, char **Argv) {
     // One checkpoint at the end of the replayed range: the resume point
     // for a follow-up segment replay.
     uint64_t Next = std::min<uint64_t>(EndBlock, Reader.numEventBlocks());
-    if (!writeArtifactFile(CheckpointOut, Session.checkpoint(Reader, Next)))
+    if (!writeArtifactFile(kTool, CheckpointOut,
+                           Session.checkpoint(Reader, Next)))
       return 1;
     std::printf("wrote checkpoint: %s (next block %llu)\n",
                 CheckpointOut.c_str(),
@@ -593,7 +538,7 @@ int cmdReplay(int Argc, char **Argv) {
                 static_cast<size_t>(Whomp.tuplesSeen()), S.total(), S.Instr,
                 S.Group, S.Object, S.Offset);
     if (!DumpOmsg.empty()) {
-      if (!writeArtifactFile(DumpOmsg, Artifacts.Omsg))
+      if (!writeArtifactFile(kTool, DumpOmsg, Artifacts.Omsg))
         return 1;
       std::printf("wrote OMSG archive: %s (%zu bytes)\n", DumpOmsg.c_str(),
                   Artifacts.Omsg.size());
@@ -607,7 +552,7 @@ int cmdReplay(int Argc, char **Argv) {
                 Leap.accessesCapturedPercent(),
                 Leap.instructionsCapturedPercent());
     if (!DumpLeap.empty()) {
-      if (!writeArtifactFile(DumpLeap, Artifacts.Leap))
+      if (!writeArtifactFile(kTool, DumpLeap, Artifacts.Leap))
         return 1;
       std::printf("wrote LEAP profile: %s (%zu bytes)\n", DumpLeap.c_str(),
                   Artifacts.Leap.size());
@@ -670,17 +615,17 @@ int cmdStats(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     bool MetricsFailed = false;
     if (const char *V = flagValue(Arg, "--lmads=")) {
-      if (!numericFlag("stats", "--lmads", V, MaxLmads))
+      if (!numericFlag("orp-trace stats", "--lmads", V, MaxLmads))
         return 1;
     } else if (const char *V = flagValue(Arg, "--threads=")) {
-      if (!numericFlag("stats", "--threads", V, Threads))
+      if (!numericFlag("orp-trace stats", "--threads", V, Threads))
         return 1;
       if (Threads == 0) {
         logMessage(LogLevel::Error,
                    "orp-trace stats: --threads must be at least 1");
         return 1;
       }
-    } else if (Metrics.consume("stats", Arg, MetricsFailed)) {
+    } else if (Metrics.consume("orp-trace stats", Arg, MetricsFailed)) {
       if (MetricsFailed)
         return 1;
     } else if (Arg[0] != '-' && Path.empty()) {
@@ -877,7 +822,7 @@ int cmdSubmit(int Argc, char **Argv) {
     } else if (const char *V = flagValue(Arg, "--name=")) {
       Name = V;
     } else if (const char *V = flagValue(Arg, "--lmads=")) {
-      if (!numericFlag("submit", "--lmads", V, MaxLmads))
+      if (!numericFlag("orp-trace submit", "--lmads", V, MaxLmads))
         return 1;
     } else if (const char *V = flagValue(Arg, "--dump-omsg=")) {
       DumpOmsg = V;
@@ -945,6 +890,7 @@ int cmdSubmit(int Argc, char **Argv) {
       logMessage(LogLevel::Error, "orp-trace submit: %s", Err.c_str());
       return 1;
     }
+    // orp-lint: allow(endian-io): exporter text, no binary fields.
     std::fwrite(Text.data(), 1, Text.size(), stdout);
   }
 
@@ -963,9 +909,9 @@ int cmdSubmit(int Argc, char **Argv) {
               Path.c_str(),
               static_cast<unsigned long long>(Summary.Events),
               Req.Name.c_str(), Summary.Omsg.size(), Summary.Leap.size());
-  if (!DumpOmsg.empty() && !writeArtifactFile(DumpOmsg, Summary.Omsg))
+  if (!DumpOmsg.empty() && !writeArtifactFile(kTool, DumpOmsg, Summary.Omsg))
     return 1;
-  if (!DumpLeap.empty() && !writeArtifactFile(DumpLeap, Summary.Leap))
+  if (!DumpLeap.empty() && !writeArtifactFile(kTool, DumpLeap, Summary.Leap))
     return 1;
   return 0;
 }
@@ -999,7 +945,7 @@ int cmdMerge(int Argc, char **Argv) {
   std::vector<std::vector<uint8_t>> Images(Inputs.size());
   ArtifactKind Kind = ArtifactKind::Unknown;
   for (size_t I = 0; I != Inputs.size(); ++I) {
-    if (!readArtifactFile(Inputs[I], Images[I]))
+    if (!readArtifactFile(kTool, Inputs[I], Images[I]))
       return 1;
     ArtifactKind K = sniffArtifact(Images[I]);
     if (K == ArtifactKind::Unknown) {
@@ -1087,7 +1033,7 @@ int cmdMerge(int Argc, char **Argv) {
     OutKind = artifactKindName(ArtifactKind::Omst);
   }
 
-  if (!writeArtifactFile(OutPath, Out))
+  if (!writeArtifactFile(kTool, OutPath, Out))
     return 1;
   std::printf("merged %zu %s inputs (%s) into %s (%s, %zu bytes)\n",
               Inputs.size(), artifactKindName(Kind),
@@ -1108,7 +1054,8 @@ void diffCounter(const char *What, uint64_t A, uint64_t B, int &Diffs) {
 
 int cmdDiff(const char *PathA, const char *PathB) {
   std::vector<uint8_t> BytesA, BytesB;
-  if (!readArtifactFile(PathA, BytesA) || !readArtifactFile(PathB, BytesB))
+  if (!readArtifactFile(kTool, PathA, BytesA) ||
+      !readArtifactFile(kTool, PathB, BytesB))
     return 2;
   if (BytesA == BytesB) {
     std::printf("%s and %s are identical (%zu bytes)\n", PathA, PathB,

@@ -14,18 +14,19 @@
 //===----------------------------------------------------------------------===//
 
 #include "session/Daemon.h"
+#include "support/Cli.h"
 #include "support/LogSink.h"
-#include "support/ParseNumber.h"
 #include "support/Version.h"
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 using namespace orp;
+using support::flagValue;
 using support::LogLevel;
 using support::logMessage;
+using support::numericFlag;
 
 namespace {
 
@@ -51,20 +52,6 @@ int usage() {
   return 2;
 }
 
-const char *flagValue(const std::string &Arg, const char *Prefix) {
-  size_t Len = std::strlen(Prefix);
-  return Arg.compare(0, Len, Prefix) == 0 ? Arg.c_str() + Len : nullptr;
-}
-
-bool numericFlag(const char *Flag, const char *Text, uint64_t &Out) {
-  if (support::parseUint64(Text, Out))
-    return true;
-  logMessage(LogLevel::Error,
-             "orp-traced: %s expects an unsigned integer, got '%s'", Flag,
-             Text);
-  return false;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -81,7 +68,7 @@ int main(int argc, char **argv) {
     } else if ((V = flagValue(Arg, "--outdir="))) {
       Config.OutDir = V;
     } else if ((V = flagValue(Arg, "--threads="))) {
-      if (!numericFlag("--threads", V, N))
+      if (!numericFlag("orp-traced", "--threads", V, N))
         return usage();
       if (!N || N > 256) {
         logMessage(LogLevel::Error,
@@ -90,7 +77,7 @@ int main(int argc, char **argv) {
       }
       Config.Manager.Threads = static_cast<unsigned>(N);
     } else if ((V = flagValue(Arg, "--queue-capacity="))) {
-      if (!numericFlag("--queue-capacity", V, N))
+      if (!numericFlag("orp-traced", "--queue-capacity", V, N))
         return usage();
       if (!N) {
         logMessage(LogLevel::Error,
@@ -99,7 +86,7 @@ int main(int argc, char **argv) {
       }
       Config.Manager.IngestQueueCapacity = static_cast<size_t>(N);
     } else if ((V = flagValue(Arg, "--budget-bytes="))) {
-      if (!numericFlag("--budget-bytes", V, N))
+      if (!numericFlag("orp-traced", "--budget-bytes", V, N))
         return usage();
       Config.Manager.MemoryBudgetBytes = static_cast<size_t>(N);
     } else {
