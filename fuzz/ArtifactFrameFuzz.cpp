@@ -11,8 +11,8 @@
 //      re-framed) and OmcCheckpoint::restore of a bare OMC section into
 //      a fresh ObjectManager;
 //   2  the orp-traced wire: FrameParser, then the payload decoders
-//      decodeOpen, decodeEventsHeader, decodeSnapshot and
-//      decodeCloseSummary;
+//      decodeOpen, decodeSessionId, decodeEventsHeader,
+//      decodeSnapshot and decodeCloseSummary;
 //   3  a raw openFrame under every artifact magic, then a cursor walk
 //      that checks the cursor's own contract.
 //
@@ -134,6 +134,20 @@ void checkWire(const uint8_t *Data, size_t Size) {
     ORP_FUZZ_REQUIRE(Twice == Bytes, "OPEN round trip differs");
   } else {
     requirePrefixed(Err, "OPEN frame");
+  }
+
+  Err.clear();
+  uint64_t Id = 0;
+  if (session::decodeSessionId(Data, Size, "CLOSE frame", Id, Err)) {
+    std::vector<uint8_t> Bytes;
+    session::encodeSessionId(Id, Bytes);
+    uint64_t Again = 0;
+    ORP_FUZZ_REQUIRE(session::decodeSessionId(Bytes.data(), Bytes.size(),
+                                              "CLOSE frame", Again, Err) &&
+                         Again == Id,
+                     "re-encoded session id differs");
+  } else {
+    requirePrefixed(Err, "CLOSE frame");
   }
 
   Err.clear();

@@ -68,6 +68,10 @@ public:
   /// Returns the object manager this CDC translates through.
   omc::ObjectManager &omc() { return Omc; }
 
+  /// Unregisters the cdc.*/omc.* snapshot collector, for a CDC whose
+  /// OMC another thread than the snapshotting one mutates.
+  void releaseCollector() { Collector.release(); }
+
 private:
   /// Translates \p Event into \p Tuple. Returns false when the address
   /// is unknown and the policy says to drop the access.

@@ -119,6 +119,10 @@ public:
   /// (Table 1, "Instructions captured").
   double instructionsCapturedPercent() const;
 
+  /// Unregisters the leap.* snapshot collector, for a profiler whose
+  /// state another thread than the snapshotting one mutates.
+  void releaseCollector() { Collector.release(); }
+
 private:
   unsigned MaxLmads;
   core::VerticalDecomposer Decomposer;

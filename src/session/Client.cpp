@@ -2,7 +2,6 @@
 
 #include "session/Client.h"
 
-#include "support/VarInt.h"
 
 #include <cerrno>
 #include <cstring>
@@ -122,13 +121,8 @@ bool Client::openSession(const OpenRequest &Req, uint64_t &IdOut,
   Frame Reply;
   if (!recvReply(FrameType::ReplyOk, Reply, Err))
     return false;
-  size_t Pos = 0;
-  if (!tryDecodeULEB128(Reply.Payload.data(), Reply.Payload.size(), Pos,
-                        IdOut)) {
-    Err = "OPEN reply: truncated";
-    return false;
-  }
-  return true;
+  return decodeSessionId(Reply.Payload.data(), Reply.Payload.size(),
+                         "OPEN reply", IdOut, Err);
 }
 
 bool Client::submitBlock(uint64_t Id,
@@ -191,7 +185,7 @@ bool Client::snapshot(uint8_t Format, const std::string &SessionName,
 
 bool Client::closeSession(uint64_t Id, CloseSummary &Out, std::string &Err) {
   std::vector<uint8_t> Payload;
-  encodeULEB128(Id, Payload);
+  encodeSessionId(Id, Payload);
   if (!sendFrame(FrameType::Close, Payload, Err))
     return false;
   Frame Reply;

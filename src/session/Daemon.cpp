@@ -3,9 +3,9 @@
 #include "session/Daemon.h"
 
 #include "support/LogSink.h"
-#include "support/VarInt.h"
 #include "telemetry/Registry.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
@@ -30,10 +30,48 @@ bool setNonBlocking(int Fd) {
   return Flags >= 0 && ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
 }
 
+/// Whether \p Id was opened over \p Owned's connection and not closed.
+bool owns(const std::vector<SessionId> &Owned, SessionId Id) {
+  return std::find(Owned.begin(), Owned.end(), Id) != Owned.end();
+}
+
 } // namespace
 
+Daemon::WakePipe::WakePipe() {
+  int Fds[2];
+  if (::pipe(Fds) != 0)
+    return;
+  Rd = Fds[0];
+  Wr = Fds[1];
+  if (!setNonBlocking(Rd) || !setNonBlocking(Wr)) {
+    ::close(Rd);
+    ::close(Wr);
+    Rd = Wr = -1;
+  }
+}
+
+Daemon::WakePipe::~WakePipe() {
+  if (Rd >= 0) {
+    ::close(Rd);
+    ::close(Wr);
+  }
+}
+
+void Daemon::WakePipe::signal() const {
+  uint8_t Byte = 1;
+  // A failed write is a full pipe (EAGAIN), which already has the
+  // loop's attention.
+  [[maybe_unused]] ssize_t N = ::write(Wr, &Byte, 1);
+}
+
+void Daemon::WakePipe::drain() const {
+  uint8_t Buf[256];
+  while (::read(Rd, Buf, sizeof(Buf)) > 0) {
+  }
+}
+
 Daemon::Daemon(const DaemonConfig &Config)
-    : Config(Config), Manager(Config.Manager) {
+    : Config(Config), Manager(Config.Manager, [this] { Wake.signal(); }) {
   // Construction happens on the (future) control thread.
   support::ScopedRole Role(SessionControlRole);
   Manager.setEvictionHandler(
@@ -52,6 +90,10 @@ Daemon::~Daemon() {
 }
 
 bool Daemon::start(std::string &Err) {
+  if (Wake.Rd < 0) {
+    Err = "wake pipe: cannot create";
+    return false;
+  }
   sockaddr_un Addr;
   std::memset(&Addr, 0, sizeof(Addr));
   Addr.sun_family = AF_UNIX;
@@ -84,6 +126,7 @@ void Daemon::run(const std::function<bool()> &StopRequested) {
   while (!StopRequested()) {
     std::vector<pollfd> Fds;
     Fds.push_back(pollfd{ListenFd, POLLIN, 0});
+    Fds.push_back(pollfd{Wake.Rd, POLLIN, 0});
     for (auto &C : Conns) {
       short Events = 0;
       // Backpressure: a connection with a blocked head frame (or too
@@ -94,24 +137,29 @@ void Daemon::run(const std::function<bool()> &StopRequested) {
         Events |= POLLOUT;
       Fds.push_back(pollfd{C->Fd, Events, 0});
     }
+    // The timeout only bounds how long StopRequested waits: parked
+    // frames are retried when a shard writes the wake pipe.
     int Ready = ::poll(Fds.data(), Fds.size(), /*timeout ms=*/50);
     if (Ready < 0 && errno != EINTR)
       break;
     if (Fds[0].revents & POLLIN)
       acceptNew();
+    if (Fds[1].revents & POLLIN)
+      Wake.drain();
     // Only the connections that were polled: acceptNew() may have grown
     // Conns past the end of Fds; newcomers get their first service on
     // the next pass.
-    size_t NumPolled = Fds.size() - 1;
+    constexpr size_t kFirstConn = 2;
+    size_t NumPolled = Fds.size() - kFirstConn;
     for (size_t I = 0; I != NumPolled; ++I) {
       Conn &C = *Conns[I];
-      short Re = Fds[I + 1].revents;
+      short Re = Fds[I + kFirstConn].revents;
       if (Re & (POLLHUP | POLLERR))
         C.Dead = true;
       if (!C.Dead && (Re & POLLIN))
         readFrom(C);
-      // Retry queued frames every pass — the shard may have drained the
-      // session's ingest queue since the last poll tick.
+      // Retry parked frames every pass: a wake means some session has
+      // drained or finalized, and a stalled one refuses cheaply.
       if (!C.Dead)
         processPending(C);
       if (!C.Dead && C.OutPos < C.OutBuf.size())
@@ -198,15 +246,15 @@ void Daemon::writeTo(Conn &C) {
 void Daemon::processPending(Conn &C) {
   while (!C.PendingIn.empty()) {
     if (!handleFrame(C, C.PendingIn.front()))
-      return; // Head blocked on backpressure; retried next pass.
+      return; // Head parked until a wake; retried next pass.
     C.PendingIn.pop_front();
+    telemetry::Registry::global().counter("daemon.frames").add();
     if (C.Dead)
       return;
   }
 }
 
 bool Daemon::handleFrame(Conn &C, const Frame &F) {
-  telemetry::Registry::global().counter("daemon.frames").add();
   switch (F.Type) {
   case FrameType::Open:
     handleOpen(C, F);
@@ -217,8 +265,7 @@ bool Daemon::handleFrame(Conn &C, const Frame &F) {
     handleSnapshot(C, F);
     return true;
   case FrameType::Close:
-    handleClose(C, F);
-    return true;
+    return handleClose(C, F);
   default:
     replyErr(C, "unexpected frame type " +
                     std::to_string(static_cast<unsigned>(F.Type)));
@@ -238,7 +285,7 @@ void Daemon::handleOpen(Conn &C, const Frame &F) {
   SessionId Id = Manager.open(Req.Name, Req.Config, Req.Instrs, Req.Sites);
   C.Owned.push_back(Id);
   std::vector<uint8_t> Payload;
-  encodeULEB128(Id, Payload);
+  encodeSessionId(Id, Payload);
   reply(C, FrameType::ReplyOk, Payload);
 }
 
@@ -247,6 +294,11 @@ bool Daemon::handleEvents(Conn &C, const Frame &F) {
   std::string Err;
   if (!decodeEventsHeader(F.Payload.data(), F.Payload.size(), H, Err)) {
     replyErr(C, Err);
+    return true;
+  }
+  if (!owns(C.Owned, H.SessionId)) {
+    replyErr(C, "session " + std::to_string(H.SessionId) +
+                    " not open on this connection");
     return true;
   }
   SubmitStatus St = Manager.submitBlock(
@@ -261,6 +313,9 @@ bool Daemon::handleEvents(Conn &C, const Frame &F) {
     return false; // Keep the frame queued; stall this connection only.
   case SubmitStatus::NotFound:
     replyErr(C, "unknown session id " + std::to_string(H.SessionId));
+    return true;
+  case SubmitStatus::Closing:
+    replyErr(C, "session " + std::to_string(H.SessionId) + " is closing");
     return true;
   case SubmitStatus::Failed: {
     SessionStats Stats;
@@ -303,26 +358,24 @@ void Daemon::handleSnapshot(Conn &C, const Frame &F) {
   reply(C, FrameType::ReplySnapshot, Payload);
 }
 
-void Daemon::handleClose(Conn &C, const Frame &F) {
-  size_t Pos = 0;
-  uint64_t Id;
-  if (!tryDecodeULEB128(F.Payload.data(), F.Payload.size(), Pos, Id)) {
-    replyErr(C, "CLOSE frame: truncated");
-    return;
+bool Daemon::handleClose(Conn &C, const Frame &F) {
+  uint64_t Id = 0;
+  std::string Err;
+  if (!decodeSessionId(F.Payload.data(), F.Payload.size(), "CLOSE frame", Id,
+                       Err)) {
+    replyErr(C, Err);
+    return true;
   }
-  bool Owned = false;
-  for (size_t I = 0; I != C.Owned.size(); ++I)
-    if (C.Owned[I] == Id) {
-      C.Owned.erase(C.Owned.begin() + static_cast<ptrdiff_t>(I));
-      Owned = true;
-      break;
-    }
-  if (!Owned) {
+  if (!owns(C.Owned, Id)) {
     replyErr(C, "session " + std::to_string(Id) +
                     " not open on this connection");
-    return;
+    return true;
   }
-  SessionArtifacts A = Manager.close(Id);
+  SessionArtifacts A;
+  if (!Manager.tryClose(Id, A))
+    return false; // Finalizing on the shard; its wake retries this frame.
+  // Owned until now, so a disconnect mid-finalize still aborts it.
+  C.Owned.erase(std::find(C.Owned.begin(), C.Owned.end(), Id));
   if (!A.Failed)
     writeArtifacts(A);
   CloseSummary Summary;
@@ -334,6 +387,7 @@ void Daemon::handleClose(Conn &C, const Frame &F) {
   std::vector<uint8_t> Payload;
   encodeCloseSummary(Summary, Payload);
   reply(C, FrameType::ReplyOk, Payload);
+  return true;
 }
 
 void Daemon::reply(Conn &C, FrameType Type,

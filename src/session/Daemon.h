@@ -19,9 +19,13 @@
 /// Flow control: when a session's ingest queue is full (WouldBlock),
 /// the connection's remaining parsed frames stay queued and the daemon
 /// simply stops reading from that socket — TCP-style backpressure on a
-/// Unix socket — while other connections keep streaming. A client that
-/// disconnects mid-stream has its unclosed sessions aborted; nobody
-/// else notices.
+/// Unix socket — while other connections keep streaming. A CLOSE waits
+/// the same way while its session finalizes on the shard, so replies
+/// stay one per request, in request order. The loop is completion
+/// driven: shards write to a wake pipe in the poll set when a stalled
+/// session has drained and when a finalize is done, and the woken loop
+/// retries the parked frames at once. A client that disconnects
+/// mid-stream has its unclosed sessions aborted; nobody else notices.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,8 +65,10 @@ public:
   [[nodiscard]] bool start(std::string &Err)
       ORP_REQUIRES(SessionControlRole);
 
-  /// Serves until \p StopRequested returns true (checked every poll
-  /// timeout, ~50ms). Aborts live connections' sessions on exit.
+  /// Serves until \p StopRequested returns true. Socket traffic and
+  /// shard wakes drive the loop; the ~50ms poll timeout only bounds how
+  /// long a stop request waits. Aborts live connections' sessions on
+  /// exit.
   void run(const std::function<bool()> &StopRequested)
       ORP_REQUIRES(SessionControlRole);
 
@@ -92,9 +98,10 @@ private:
   void acceptNew() ORP_REQUIRES(SessionControlRole);
   void readFrom(Conn &C) ORP_REQUIRES(SessionControlRole);
   void writeTo(Conn &C) ORP_REQUIRES(SessionControlRole);
-  /// Processes queued frames until empty or the head WouldBlock.
+  /// Processes queued frames until empty or the head parks.
   void processPending(Conn &C) ORP_REQUIRES(SessionControlRole);
-  /// Handles one frame; false = leave it queued (backpressure).
+  /// Handles one frame; false = leave it queued until a wake
+  /// (backpressure, or a CLOSE whose finalize is still running).
   bool handleFrame(Conn &C, const Frame &F)
       ORP_REQUIRES(SessionControlRole);
   void handleOpen(Conn &C, const Frame &F)
@@ -103,7 +110,7 @@ private:
       ORP_REQUIRES(SessionControlRole);
   void handleSnapshot(Conn &C, const Frame &F)
       ORP_REQUIRES(SessionControlRole);
-  void handleClose(Conn &C, const Frame &F)
+  bool handleClose(Conn &C, const Frame &F)
       ORP_REQUIRES(SessionControlRole);
   void reply(Conn &C, FrameType Type, const std::vector<uint8_t> &Payload)
       ORP_REQUIRES(SessionControlRole);
@@ -112,7 +119,21 @@ private:
   void dropConn(Conn &C) ORP_REQUIRES(SessionControlRole);
   void writeArtifacts(const SessionArtifacts &A);
 
+  /// The shard->control wake channel: a non-blocking self-pipe whose
+  /// read end is in the poll set. Shards write a byte; the loop drains.
+  struct WakePipe {
+    WakePipe();
+    ~WakePipe();
+    WakePipe(const WakePipe &) = delete;
+    WakePipe &operator=(const WakePipe &) = delete;
+    void signal() const;
+    void drain() const;
+    int Rd = -1, Wr = -1;
+  };
+
   DaemonConfig Config;
+  /// Declared before Manager, so it outlives the shards that write it.
+  WakePipe Wake;
   SessionManager Manager;
   int ListenFd ORP_GUARDED_BY(SessionControlRole) = -1;
   std::vector<std::unique_ptr<Conn>> Conns

@@ -37,6 +37,14 @@ ProfileSession::~ProfileSession() {
     Core->finish();
 }
 
+void ProfileSession::releaseGlobalCollectors() {
+  Core->cdc().releaseCollector();
+  if (Whomp)
+    Whomp->releaseCollector();
+  if (Leap)
+    Leap->releaseCollector();
+}
+
 void ProfileSession::registerProbeTables(
     const std::vector<trace::InstrInfo> &Instrs,
     const std::vector<trace::AllocSiteInfo> &Sites) {

@@ -83,6 +83,15 @@ public:
   whomp::WhompProfiler *whomp() { return Whomp.get(); }
   leap::LeapProfiler *leap() { return Leap.get(); }
 
+  /// Unregisters the pipeline's process-wide snapshot collectors
+  /// (cdc.*/omc.*, whomp.*, leap.*). Those collectors read pipeline
+  /// state on the snapshotting thread, so they are only sound while the
+  /// session is driven from that thread. SessionManager calls this at
+  /// open(): its shards drive the session, and N sessions would
+  /// overwrite one another's global gauges anyway. The manager exports
+  /// per-session gauges from atomics instead.
+  void releaseGlobalCollectors();
+
   /// Registers recorded probe-site tables (an OPEN frame's payload or a
   /// TraceReader's tables) into the session registry. Call once, before
   /// any injection.

@@ -8,12 +8,14 @@
 using namespace orp;
 using namespace orp::session;
 
-SessionManager::SessionManager(const ManagerConfig &Config)
-    : Config(Config) {
+SessionManager::SessionManager(const ManagerConfig &Config,
+                               WakeHandler Wake)
+    : Config(Config), Wake(std::move(Wake)) {
   unsigned Threads = Config.Threads ? Config.Threads : 1;
   this->Config.Threads = Threads;
   if (!this->Config.IngestQueueCapacity)
     this->Config.IngestQueueCapacity = 1;
+  DrainWatermark = this->Config.IngestQueueCapacity > 1 ? 1 : 0;
   Shards.reserve(Threads);
   for (unsigned I = 0; I != Threads; ++I)
     Shards.push_back(std::make_unique<support::QueueWorker<Token>>(
@@ -55,6 +57,9 @@ SessionId SessionManager::open(
   // Built on the control thread; the queue handoff of the first token
   // publishes it to the shard worker.
   S->Engine = std::make_unique<ProfileSession>(SessionName, SessionCfg);
+  // The shard mutates the pipeline while snapshots run on this thread;
+  // publishMetrics() exports the per-session gauges instead.
+  S->Engine->releaseGlobalCollectors();
   S->Engine->registerProbeTables(Instrs, Sites);
   S->MemEstimate.store(S->Engine->memoryEstimateBytes(),
                        std::memory_order_relaxed);
@@ -74,8 +79,33 @@ SubmitStatus SessionManager::submitBlock(SessionId Id,
   if (It == Sessions.end())
     return SubmitStatus::NotFound;
   Managed &S = *It->second;
+  if (S.Closing)
+    return SubmitStatus::Closing;
   if (S.Failed.load(std::memory_order_acquire))
     return SubmitStatus::Failed;
+  // Hysteresis: a stalled session stays refused until its shard has
+  // drained it, even when a slot frees earlier. Refused before the
+  // payload copy, which every retry of a parked frame would repeat.
+  if (S.Stalled.load(std::memory_order_acquire))
+    return SubmitStatus::WouldBlock;
+  // This thread is the queue's only producer, so a slot seen free here
+  // is still free at the push below.
+  if (S.Ingest.size() == S.Ingest.capacity()) {
+    S.Stalled.store(true, std::memory_order_release);
+    // Re-check after marking. The ring mutex orders this read against
+    // the shard's pops: a pop after it sees the mark, and a pop before
+    // it shows here. Only a queue still above the watermark can rely
+    // on the shard to clear the mark (and wake the caller).
+    if (S.Ingest.size() > DrainWatermark) {
+      S.StallSince = std::chrono::steady_clock::now();
+      telemetry::Registry::global()
+          .counter("session.submit_backpressure")
+          .add();
+      return SubmitStatus::WouldBlock;
+    }
+    // Drained before the shard could see the mark: take it back.
+    S.Stalled.store(false, std::memory_order_relaxed);
+  }
   IngestItem Item;
   Item.K = IngestItem::Kind::Block;
   Item.Payload.assign(Payload, Payload + PayloadLen);
@@ -83,11 +113,15 @@ SubmitStatus SessionManager::submitBlock(SessionId Id,
   Item.Crc = Crc;
   Item.BlockIndex = S.NextBlockIndex;
   Item.FormatVersion = FormatVersion;
-  if (!S.Ingest.tryPush(std::move(Item))) {
-    telemetry::Registry::global()
-        .counter("session.submit_backpressure")
-        .add();
-    return SubmitStatus::WouldBlock;
+  if (!S.Ingest.tryPush(std::move(Item)))
+    ORP_FATAL_ERROR("session: ingest queue filled behind its producer");
+  if (S.StallSince) {
+    telemetry::Registry::global().histogram("session.stall_ns").record(
+        static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - *S.StallSince)
+                .count()));
+    S.StallSince.reset();
   }
   ++S.NextBlockIndex;
   S.Pending.fetch_add(1, std::memory_order_relaxed);
@@ -124,11 +158,21 @@ void SessionManager::processToken(Token &T) {
     if (!S.Result.push(S.Engine->finalize()))
       ORP_FATAL_ERROR("session: result queue closed during finalize");
     S.FinalizeDone.store(true, std::memory_order_release);
+    // S may be freed from here on; the wake touches only the manager.
+    if (Wake)
+      Wake();
     return;
   }
   IngestItem Item;
   if (!S.Ingest.tryPop(Item))
     return; // Unreachable: exactly one token per pushed item.
+  // Readmit a stalled session once the queue is down to the watermark,
+  // before processing this item so the refill overlaps it. Exactly one
+  // clearer wins the exchange, so each stall episode wakes once.
+  if (S.Stalled.load(std::memory_order_acquire) &&
+      S.Ingest.size() <= DrainWatermark &&
+      S.Stalled.exchange(false, std::memory_order_acq_rel) && Wake)
+    Wake();
   if (Item.K == IngestItem::Kind::Gate) {
     int Unused;
     // Parks this shard until the test releases (or closes) the gate;
@@ -152,33 +196,53 @@ void SessionManager::processToken(Token &T) {
   S.Pending.fetch_sub(1, std::memory_order_release);
 }
 
-SessionArtifacts SessionManager::closeInternal(Managed &S) {
-  // The shard queue is FIFO: the finalize token runs after every
-  // pending ingest token of this session.
-  if (!Shards[S.Shard]->submit(Token{&S, /*Finalize=*/true}))
-    ORP_FATAL_ERROR("session: shard worker finished with sessions live");
-  SessionArtifacts A;
-  if (!S.Result.pop(A))
+bool SessionManager::finalizeStep(Managed &S, bool Wait,
+                                  SessionArtifacts &Out) {
+  if (!S.Closing) {
+    S.Closing = true;
+    // The shard queue is FIFO: the finalize token runs after every
+    // pending ingest token of this session.
+    if (!Shards[S.Shard]->submit(Token{&S, /*Finalize=*/true}))
+      ORP_FATAL_ERROR("session: shard worker finished with sessions live");
+  }
+  if (!Wait)
+    // FinalizeDone follows the Result push: once it reads true the
+    // artifacts are queued and the worker is done with S.
+    return S.FinalizeDone.load(std::memory_order_acquire) &&
+           S.Result.tryPop(Out);
+  if (!S.Result.pop(Out))
     ORP_FATAL_ERROR("session: result queue closed before finalize");
   // The worker is at most a few instructions from done (the pop can
   // overtake the push's notify tail); spin out that window before the
   // caller frees the session.
   while (!S.FinalizeDone.load(std::memory_order_acquire)) {
   }
-  return A;
+  return true;
+}
+
+bool SessionManager::closeStep(SessionId Id, bool Wait,
+                               SessionArtifacts &Out) {
+  auto It = Sessions.find(Id);
+  if (It == Sessions.end()) {
+    Out = SessionArtifacts();
+    Out.Failed = true;
+    Out.Error = "unknown session id " + std::to_string(Id);
+    return true;
+  }
+  if (!finalizeStep(*It->second, Wait, Out))
+    return false;
+  Sessions.erase(It);
+  telemetry::Registry::global().counter("session.closed").add();
+  return true;
+}
+
+bool SessionManager::tryClose(SessionId Id, SessionArtifacts &Out) {
+  return closeStep(Id, /*Wait=*/false, Out);
 }
 
 SessionArtifacts SessionManager::close(SessionId Id) {
-  auto It = Sessions.find(Id);
-  if (It == Sessions.end()) {
-    SessionArtifacts A;
-    A.Failed = true;
-    A.Error = "unknown session id " + std::to_string(Id);
-    return A;
-  }
-  SessionArtifacts A = closeInternal(*It->second);
-  Sessions.erase(It);
-  telemetry::Registry::global().counter("session.closed").add();
+  SessionArtifacts A;
+  (void)closeStep(Id, /*Wait=*/true, A);
   return A;
 }
 
@@ -186,7 +250,8 @@ bool SessionManager::abort(SessionId Id) {
   auto It = Sessions.find(Id);
   if (It == Sessions.end())
     return false;
-  closeInternal(*It->second);
+  SessionArtifacts Discarded;
+  (void)finalizeStep(*It->second, /*Wait=*/true, Discarded);
   Sessions.erase(It);
   telemetry::Registry::global().counter("session.aborted").add();
   return true;
@@ -234,7 +299,8 @@ size_t SessionManager::enforceBudget() {
     Managed *Victim = nullptr;
     for (const auto &Entry : Sessions) {
       Managed &S = *Entry.second;
-      if (S.Pending.load(std::memory_order_acquire) != 0)
+      // A closing session is on its way out already.
+      if (S.Closing || S.Pending.load(std::memory_order_acquire) != 0)
         continue;
       if (!Victim || S.LastUsed < Victim->LastUsed)
         Victim = &S;
@@ -242,7 +308,8 @@ size_t SessionManager::enforceBudget() {
     if (!Victim)
       break;
     SessionId Id = Victim->Id;
-    SessionArtifacts A = closeInternal(*Victim);
+    SessionArtifacts A;
+    (void)finalizeStep(*Victim, /*Wait=*/true, A);
     Sessions.erase(Id);
     telemetry::Registry::global().counter("session.evicted").add();
     support::logMessage(support::LogLevel::Info,

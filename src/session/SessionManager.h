@@ -17,20 +17,25 @@
 /// Flow control is per session: each session has a bounded ingest queue
 /// and submitBlock() returns WouldBlock instead of blocking when it is
 /// full — the daemon translates that into a stalled client connection
-/// rather than a stalled control loop. A configurable memory budget is
-/// enforced by LRU-evicting *idle* sessions (no blocks in flight):
-/// eviction finalizes the victim like a normal close and hands its
-/// artifacts to the eviction handler.
+/// rather than a stalled control loop. A refused submit marks the
+/// session stalled, and it stays refused until its shard has drained
+/// the queue to at most one block; the shard then calls the wake
+/// handler once. close() has a non-blocking form, tryClose(), whose
+/// finalize completion wakes the caller the same way. A configurable
+/// memory budget is enforced by LRU-evicting *idle* sessions (no
+/// blocks in flight): eviction finalizes the victim like a normal
+/// close and hands its artifacts to the eviction handler.
 ///
 /// Threading discipline: every public method is called from ONE control
 /// thread (the daemon's poll loop, or a test's main thread). The shards
 /// are the only other threads, and all control<->shard traffic flows
 /// through SpscQueues; counters the control thread may read mid-flight
-/// are atomics. The discipline is machine-checked under Clang's
-/// -Wthread-safety: public methods require the SessionControlRole
-/// capability, the shard handler requires SessionShardRole, and the
-/// control-side members are ORP_GUARDED_BY the control role (see
-/// support/ThreadSafety.h and DESIGN.md section 16).
+/// are atomics, and the shard->control signal is the wake handler.
+/// The discipline is machine-checked under Clang's -Wthread-safety:
+/// public methods require the SessionControlRole capability, the shard
+/// handler requires SessionShardRole, and the control-side members are
+/// ORP_GUARDED_BY the control role (see support/ThreadSafety.h and
+/// DESIGN.md section 16).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,10 +48,12 @@
 #include "telemetry/Registry.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,9 +81,11 @@ struct ManagerConfig {
 /// WouldBlock (the block was NOT enqueued and must be retried).
 enum class [[nodiscard]] SubmitStatus {
   Ok,         ///< Enqueued.
-  WouldBlock, ///< Ingest queue full — retry later (backpressure).
+  WouldBlock, ///< Ingest queue full or session stalled — retry after
+              ///< the wake (backpressure).
   NotFound,   ///< No such session id.
   Failed,     ///< Session already failed on a corrupt block.
+  Closing,    ///< A close is in flight; the session takes no more blocks.
 };
 
 using SessionId = uint64_t;
@@ -100,7 +109,14 @@ public:
   using EvictionHandler =
       std::function<void(SessionId, SessionArtifacts)>;
 
-  explicit SessionManager(const ManagerConfig &Config);
+  /// Called on a shard thread when a stalled session has drained (a
+  /// refused submit will now be accepted) and after every finalize (a
+  /// tryClose() in flight can now complete). It must be cheap and
+  /// thread-safe, and must not call back into the manager.
+  using WakeHandler = std::function<void()>;
+
+  explicit SessionManager(const ManagerConfig &Config,
+                          WakeHandler Wake = {});
 
   /// Closes (and discards) every remaining session.
   ~SessionManager();
@@ -124,8 +140,10 @@ public:
   /// Hands one still-encoded event-block payload (copied) to the
   /// session's shard. \p FormatVersion is the .orpt format the payload
   /// is encoded in (v1 interleaved or v2 columnar). Never blocks: a
-  /// full ingest queue returns WouldBlock and the caller retries the
-  /// same block later.
+  /// full ingest queue returns WouldBlock, marks the session stalled,
+  /// and the caller retries the same block once the wake handler ran.
+  /// While stalled every submit is refused before its payload is
+  /// copied, even after a slot frees (hysteresis).
   SubmitStatus submitBlock(SessionId Id, const uint8_t *Payload,
                            size_t PayloadLen, uint64_t EventCount,
                            uint32_t Crc, uint8_t FormatVersion)
@@ -137,9 +155,17 @@ public:
   SubmitStatus submitGate(SessionId Id, support::SpscQueue<int> *Gate)
       ORP_REQUIRES(SessionControlRole);
 
-  /// Drains the session's pending blocks, finalizes its profile on the
-  /// owning shard, removes it and returns the artifacts. Blocks the
-  /// control thread until the shard has caught up.
+  /// Non-blocking close. The first call queues the session's finalize
+  /// behind its pending blocks and marks it closing: submits are then
+  /// refused with Closing. Returns false until the owning shard has
+  /// finalized (the wake handler runs when it has), then true with
+  /// \p Out holding the artifacts and the session removed. An unknown
+  /// id returns true with a failed \p Out.
+  [[nodiscard]] bool tryClose(SessionId Id, SessionArtifacts &Out)
+      ORP_REQUIRES(SessionControlRole);
+
+  /// tryClose() that blocks the control thread until the shard has
+  /// caught up and finalized.
   SessionArtifacts close(SessionId Id) ORP_REQUIRES(SessionControlRole);
 
   /// close() with the artifacts discarded (a disconnected client's
@@ -202,6 +228,15 @@ private:
     std::atomic<uint64_t> Blocks{0};
     std::atomic<size_t> MemEstimate{0};
     std::atomic<bool> Failed{false};
+    /// Set by the control thread when a submit is refused, cleared by
+    /// the shard (which then wakes the control thread) once the ingest
+    /// queue is down to the drain watermark.
+    std::atomic<bool> Stalled{false};
+    /// A finalize token is queued; no more blocks are accepted.
+    bool Closing ORP_GUARDED_BY(SessionControlRole) = false;
+    /// Start of the current stall episode, when one is open.
+    std::optional<std::chrono::steady_clock::time_point> StallSince
+        ORP_GUARDED_BY(SessionControlRole);
     /// Control-side LRU stamp (bumped on every accepted submit).
     uint64_t LastUsed ORP_GUARDED_BY(SessionControlRole) = 0;
     /// Control-side running block count, labelling diagnostics.
@@ -215,12 +250,21 @@ private:
   };
 
   void processToken(Token &T) ORP_REQUIRES(SessionShardRole);
-  SessionArtifacts closeInternal(Managed &S)
+  /// The one close path. Queues S's finalize token on the first call,
+  /// then takes the artifacts: waiting for them when \p Wait, else
+  /// returning false while the shard has not finished.
+  bool finalizeStep(Managed &S, bool Wait, SessionArtifacts &Out)
+      ORP_REQUIRES(SessionControlRole);
+  bool closeStep(SessionId Id, bool Wait, SessionArtifacts &Out)
       ORP_REQUIRES(SessionControlRole);
   void publishMetrics(telemetry::Registry &Reg)
       ORP_REQUIRES(SessionControlRole);
 
   ManagerConfig Config;
+  const WakeHandler Wake;
+  /// A stalled session is readmitted once its queue holds at most this
+  /// many blocks: one, or none when the queue has a single slot.
+  size_t DrainWatermark = 1;
   std::vector<std::unique_ptr<support::QueueWorker<Token>>> Shards;
   std::map<SessionId, std::unique_ptr<Managed>> Sessions
       ORP_GUARDED_BY(SessionControlRole);

@@ -93,6 +93,17 @@ bool session::decodeOpen(const uint8_t *Data, size_t Len, OpenRequest &Out,
   return traceio::parseRegistryPayload(C, Out.Instrs, Out.Sites);
 }
 
+void session::encodeSessionId(uint64_t Id, std::vector<uint8_t> &Out) {
+  encodeULEB128(Id, Out);
+}
+
+bool session::decodeSessionId(const uint8_t *Data, size_t Len,
+                              const char *Format, uint64_t &Id,
+                              std::string &Err) {
+  support::ByteCursor C(Data, Len, Format, Err);
+  return C.readU("session id", Id) && C.expectEnd();
+}
+
 void session::encodeEventsHeader(uint64_t SessionId, uint64_t EventCount,
                                  uint8_t FormatVersion, uint32_t Crc,
                                  std::vector<uint8_t> &Out) {

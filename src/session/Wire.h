@@ -108,6 +108,14 @@ void encodeOpen(const OpenRequest &Req, std::vector<uint8_t> &Out);
 [[nodiscard]] bool decodeOpen(const uint8_t *Data, size_t Len, OpenRequest &Out,
                 std::string &Err);
 
+/// The OPEN reply and the CLOSE request payload: one session id,
+/// nothing after it. \p Format names the payload in errors ("OPEN
+/// reply", "CLOSE frame").
+void encodeSessionId(uint64_t Id, std::vector<uint8_t> &Out);
+[[nodiscard]] bool decodeSessionId(const uint8_t *Data, size_t Len,
+                                   const char *Format, uint64_t &Id,
+                                   std::string &Err);
+
 /// An Events frame's fixed header; the block payload follows at
 /// \p PayloadOffset.
 struct EventsHeader {

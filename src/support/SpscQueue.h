@@ -153,6 +153,14 @@ public:
   /// Maximum number of buffered elements (immutable, lock-free read).
   size_t capacity() const { return Cap; }
 
+  /// Elements buffered right now. Callable from any thread (takes the
+  /// queue mutex briefly), so it orders against the pushes and pops
+  /// before and after it.
+  size_t size() const {
+    MutexLock Lock(M);
+    return Count;
+  }
+
   /// Returns a consistent snapshot of the queue counters. Callable from
   /// any thread at any time (takes the queue mutex briefly).
   QueueTelemetry telemetry() const {

@@ -89,6 +89,10 @@ public:
   /// Returns the serialized per-dimension and total sizes.
   OmsgSizes sizes() const;
 
+  /// Unregisters the whomp.* snapshot collector, for a profiler whose
+  /// grammars another thread than the snapshotting one appends to.
+  void releaseCollector() { Collector.release(); }
+
 private:
   /// Level-2 checked builds only: runs GrammarValidator over all four
   /// dimension grammars and aborts (checkFailed) on any violation.

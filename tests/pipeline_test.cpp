@@ -179,8 +179,9 @@ TEST(QueueWorkerTest, TelemetryReportsQueueAndBusyTime) {
     support::QueueWorker<int> Worker(
         /*QueueCapacity=*/16, [](int &) {
           // Enough work that steady_clock registers nonzero busy time.
-          volatile int Spin = 0;
-          for (int I = 0; I != 100000; ++I)
+          // Unsigned: the sum passes INT_MAX, which wraps defined.
+          volatile unsigned Spin = 0;
+          for (unsigned I = 0; I != 100000; ++I)
             Spin = Spin + I;
         });
     for (int I = 0; I != 10; ++I)

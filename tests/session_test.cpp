@@ -27,8 +27,15 @@
 
 #include <gtest/gtest.h>
 
+// A raw connection pipelines requests the blocking Client serializes.
+#include <sys/socket.h> // orp-lint: allow(raw-socket)
+#include <sys/un.h>     // orp-lint: allow(raw-socket)
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -94,17 +101,37 @@ SessionId openFor(session::SessionManager &Mgr,
                   Reader.allocSites());
 }
 
+/// Offers block \p Index of \p Reader once, without spinning.
+SubmitStatus offerBlock(session::SessionManager &Mgr, SessionId Id,
+                        traceio::TraceReader &Reader, size_t Index)
+    ORP_REQUIRES(session::SessionControlRole) {
+  traceio::TraceReader::RawBlock B = Reader.rawBlock(Index);
+  return Mgr.submitBlock(Id, B.Payload, B.PayloadLen, B.EventCount, B.Crc,
+                         Reader.info().Version);
+}
+
 /// Submits block \p Index of \p Reader, spinning out backpressure.
 void submitBlock(session::SessionManager &Mgr, SessionId Id,
                  traceio::TraceReader &Reader, size_t Index)
     ORP_REQUIRES(session::SessionControlRole) {
-  traceio::TraceReader::RawBlock B = Reader.rawBlock(Index);
   SubmitStatus St;
-  while ((St = Mgr.submitBlock(Id, B.Payload, B.PayloadLen, B.EventCount,
-                               B.Crc, Reader.info().Version)) ==
+  while ((St = offerBlock(Mgr, Id, Reader, Index)) ==
          SubmitStatus::WouldBlock) {
   }
   ASSERT_EQ(St, SubmitStatus::Ok);
+}
+
+/// The stall episodes counted so far, process-wide.
+uint64_t stallEpisodes() {
+  return telemetry::Registry::global().snapshot().counter(
+      "session.submit_backpressure");
+}
+
+/// Session \p Name's ingest-queue depth, through the manager's gauges.
+/// Call on the control thread (the snapshot discipline).
+int64_t ingestDepth(const std::string &Name) {
+  return telemetry::Registry::global().snapshot().gauge("session." + Name +
+                                                        ".ingest_depth");
 }
 
 void expectSameProfile(const SessionArtifacts &A, const SessionArtifacts &B) {
@@ -233,6 +260,7 @@ TEST(SessionManagerTest, FullIngestQueueReportsWouldBlock) {
   Config.IngestQueueCapacity = 2;
   session::SessionManager Mgr(Config);
   SessionId Id = openFor(Mgr, Reader, "bp");
+  uint64_t EpisodesBefore = stallEpisodes();
 
   // Park the (only) shard worker so nothing drains.
   support::SpscQueue<int> Gate(1);
@@ -242,10 +270,7 @@ TEST(SessionManagerTest, FullIngestQueueReportsWouldBlock) {
   // frees once the worker pops the gate item itself); then WouldBlock.
   size_t Accepted = 0;
   while (Accepted < Reader.numEventBlocks()) {
-    traceio::TraceReader::RawBlock B = Reader.rawBlock(Accepted);
-    SubmitStatus St = Mgr.submitBlock(Id, B.Payload, B.PayloadLen,
-                                      B.EventCount, B.Crc,
-                                      Reader.info().Version);
+    SubmitStatus St = offerBlock(Mgr, Id, Reader, Accepted);
     if (St == SubmitStatus::WouldBlock)
       break;
     ASSERT_EQ(St, SubmitStatus::Ok);
@@ -253,9 +278,10 @@ TEST(SessionManagerTest, FullIngestQueueReportsWouldBlock) {
   }
   EXPECT_GE(Accepted, Config.IngestQueueCapacity - 1);
   EXPECT_LE(Accepted, Config.IngestQueueCapacity + 1);
-  uint64_t Stalls = telemetry::Registry::global().snapshot().counter(
-      "session.submit_backpressure");
-  EXPECT_GE(Stalls, 1u);
+  // Refused retries belong to the same episode: one stall, counted once.
+  EXPECT_EQ(offerBlock(Mgr, Id, Reader, Accepted), SubmitStatus::WouldBlock);
+  EXPECT_EQ(offerBlock(Mgr, Id, Reader, Accepted), SubmitStatus::WouldBlock);
+  EXPECT_EQ(stallEpisodes() - EpisodesBefore, 1u);
 
   // Release the worker; the stalled stream finishes normally and the
   // profile is unaffected by ever having been backpressured.
@@ -265,6 +291,133 @@ TEST(SessionManagerTest, FullIngestQueueReportsWouldBlock) {
   SessionArtifacts Art = Mgr.close(Id);
   expectSameProfile(Art, Serial);
   std::remove(Path.c_str());
+}
+
+TEST(SessionManagerTest, StallWakesOncePerEpisodeAfterTheDrain) {
+  ScopedRole Role(session::SessionControlRole);
+  std::string Path = tempPath("stall.orpt");
+  recordTrace("list-traversal", Path, /*Scale=*/2);
+  SessionArtifacts Serial = serialArtifacts(Path);
+
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  ASSERT_GT(Reader.numEventBlocks(), 8u);
+
+  session::ManagerConfig Config;
+  Config.Threads = 1;
+  Config.IngestQueueCapacity = 4;
+  std::atomic<unsigned> Wakes{0};
+  session::SessionManager Mgr(Config, [&Wakes] { ++Wakes; });
+  SessionId Id = openFor(Mgr, Reader, "stall");
+  uint64_t EpisodesBefore = stallEpisodes();
+
+  // Two gates: the shard parks on the first, the second holds a slot.
+  support::SpscQueue<int> First(1), Second(1);
+  ASSERT_EQ(Mgr.submitGate(Id, &First), SubmitStatus::Ok);
+  ASSERT_EQ(Mgr.submitGate(Id, &Second), SubmitStatus::Ok);
+  size_t Next = 0;
+  SubmitStatus St;
+  while ((St = offerBlock(Mgr, Id, Reader, Next)) == SubmitStatus::Ok)
+    ++Next;
+  ASSERT_EQ(St, SubmitStatus::WouldBlock);
+  EXPECT_EQ(stallEpisodes() - EpisodesBefore, 1u);
+
+  // The shard moves on to the second gate, freeing a slot. The queue
+  // still holds more than one block, so the session stays refused.
+  ASSERT_TRUE(First.push(1));
+  while (ingestDepth("stall") >=
+         static_cast<int64_t>(Config.IngestQueueCapacity)) {
+  }
+  EXPECT_EQ(offerBlock(Mgr, Id, Reader, Next), SubmitStatus::WouldBlock);
+  EXPECT_EQ(Wakes.load(), 0u);
+  EXPECT_EQ(stallEpisodes() - EpisodesBefore, 1u);
+
+  // Draining to one queued block clears the stall and wakes once.
+  ASSERT_TRUE(Second.push(1));
+  while (Wakes.load() == 0) {
+  }
+  ASSERT_EQ(offerBlock(Mgr, Id, Reader, Next), SubmitStatus::Ok);
+  ++Next;
+  session::SessionStats Stats;
+  do {
+    ASSERT_TRUE(Mgr.stats(Id, Stats));
+  } while (Stats.Pending != 0);
+  EXPECT_EQ(Wakes.load(), 1u); // Pops outside a stall never wake.
+  EXPECT_EQ(stallEpisodes() - EpisodesBefore, 1u);
+
+  for (; Next != Reader.numEventBlocks(); ++Next)
+    submitBlock(Mgr, Id, Reader, Next);
+  expectSameProfile(Mgr.close(Id), Serial);
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Non-blocking close
+//===----------------------------------------------------------------------===//
+
+TEST(SessionManagerTest, TryCloseIsNotReadyUntilFinalizedAndWakesOnce) {
+  ScopedRole Role(session::SessionControlRole);
+  std::string Path = tempPath("tryclose.orpt");
+  recordTrace("list-traversal", Path);
+  SessionArtifacts Serial = serialArtifacts(Path);
+
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+
+  session::ManagerConfig Config;
+  Config.Threads = 1;
+  // Room for the whole trace and the gate: no stall, so no stall wake.
+  Config.IngestQueueCapacity = Reader.numEventBlocks() + 1;
+  std::atomic<unsigned> Wakes{0};
+  session::SessionManager Mgr(Config, [&Wakes] { ++Wakes; });
+  SessionId Id = openFor(Mgr, Reader, "tryclose");
+  for (size_t I = 0; I != Reader.numEventBlocks(); ++I)
+    submitBlock(Mgr, Id, Reader, I);
+
+  // The finalize queues behind a parked shard: not ready, repeatedly.
+  support::SpscQueue<int> Gate(1);
+  ASSERT_EQ(Mgr.submitGate(Id, &Gate), SubmitStatus::Ok);
+  SessionArtifacts Art;
+  EXPECT_FALSE(Mgr.tryClose(Id, Art));
+  EXPECT_FALSE(Mgr.tryClose(Id, Art));
+  EXPECT_EQ(Wakes.load(), 0u);
+  EXPECT_EQ(Mgr.numLiveSessions(), 1u);
+
+  // EVENTS after CLOSE are refused.
+  EXPECT_EQ(offerBlock(Mgr, Id, Reader, 0), SubmitStatus::Closing);
+
+  ASSERT_TRUE(Gate.push(1));
+  while (Wakes.load() == 0) {
+  }
+  ASSERT_TRUE(Mgr.tryClose(Id, Art));
+  expectSameProfile(Art, Serial);
+  EXPECT_EQ(Wakes.load(), 1u);
+  EXPECT_EQ(Mgr.numLiveSessions(), 0u);
+
+  // Gone: the id is unknown now, to both close forms.
+  ASSERT_TRUE(Mgr.tryClose(Id, Art));
+  EXPECT_TRUE(Art.Failed);
+  EXPECT_NE(Art.Error.find("unknown session id"), std::string::npos);
+  EXPECT_EQ(offerBlock(Mgr, Id, Reader, 0), SubmitStatus::NotFound);
+  std::remove(Path.c_str());
+}
+
+TEST(SessionManagerTest, AbortDuringTryCloseWaitsForTheSameFinalize) {
+  ScopedRole Role(session::SessionControlRole);
+  session::ManagerConfig Config;
+  Config.Threads = 1;
+  std::atomic<unsigned> Wakes{0};
+  session::SessionManager Mgr(Config, [&Wakes] { ++Wakes; });
+  SessionId Id = Mgr.open("aborted", session::SessionConfig{}, {}, {});
+  support::SpscQueue<int> Gate(1);
+  ASSERT_EQ(Mgr.submitGate(Id, &Gate), SubmitStatus::Ok);
+  SessionArtifacts Art;
+  EXPECT_FALSE(Mgr.tryClose(Id, Art));
+  ASSERT_TRUE(Gate.push(1));
+  // A disconnect mid-finalize: abort waits for the queued finalize
+  // rather than queueing a second one.
+  EXPECT_TRUE(Mgr.abort(Id));
+  EXPECT_EQ(Mgr.numLiveSessions(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -538,6 +691,27 @@ TEST(WireTest, EventsHeaderAndCloseSummaryRoundTrip) {
   EXPECT_EQ(Out.Leap, S.Leap);
 }
 
+TEST(WireTest, SessionIdPayloadRejectsTrailingBytes) {
+  std::vector<uint8_t> Payload;
+  session::encodeSessionId(300, Payload);
+  uint64_t Id = 0;
+  std::string Err;
+  ASSERT_TRUE(session::decodeSessionId(Payload.data(), Payload.size(),
+                                       "CLOSE frame", Id, Err))
+      << Err;
+  EXPECT_EQ(Id, 300u);
+
+  Payload.push_back(0);
+  EXPECT_FALSE(session::decodeSessionId(Payload.data(), Payload.size(),
+                                        "CLOSE frame", Id, Err));
+  EXPECT_EQ(Err, "CLOSE frame: trailing bytes");
+
+  Err.clear();
+  EXPECT_FALSE(session::decodeSessionId(Payload.data(), 0, "OPEN reply", Id,
+                                        Err));
+  EXPECT_EQ(Err.rfind("OPEN reply: session id: ", 0), 0u) << Err;
+}
+
 //===----------------------------------------------------------------------===//
 // Daemon + client, in process
 //===----------------------------------------------------------------------===//
@@ -584,6 +758,15 @@ private:
   std::atomic<bool> Stop{false};
   bool Started = false;
 };
+
+/// Counter \p Name in a compact-JSON snapshot text; 0 when absent.
+uint64_t counterInJson(const std::string &Json, const std::string &Name) {
+  std::string Key = "\"" + Name + "\":";
+  size_t Pos = Json.find(Key);
+  return Pos == std::string::npos
+             ? 0
+             : std::strtoull(Json.c_str() + Pos + Key.size(), nullptr, 10);
+}
 
 /// Opens a session for \p Reader's trace over \p Client.
 bool openOver(session::Client &Client, traceio::TraceReader &Reader,
@@ -695,8 +878,20 @@ TEST(DaemonTest, AbruptDisconnectAbortsOnlyThatClientsSessions) {
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
 
-  uint64_t AbortedBefore = telemetry::Registry::global().snapshot().counter(
-      "session.aborted");
+  // Counters are read from the daemon's SNAPSHOT replies: the daemon
+  // thread owns the registry's snapshot discipline, not this one.
+  session::Client Client;
+  std::string Err;
+  ASSERT_TRUE(Client.connect(Fixture.socketPath(), Err)) << Err;
+  auto Aborted = [&Client, &Err](uint64_t &Count) {
+    std::string Text;
+    if (!Client.snapshot(/*Format=*/1, "", Text, Err))
+      return false;
+    Count = counterInJson(Text, "session.aborted");
+    return true;
+  };
+  uint64_t AbortedBefore = 0;
+  ASSERT_TRUE(Aborted(AbortedBefore)) << Err;
 
   // Client A opens a session, streams one block, and vanishes.
   {
@@ -711,23 +906,16 @@ TEST(DaemonTest, AbruptDisconnectAbortsOnlyThatClientsSessions) {
   } // Destructor closes the socket mid-stream; no CLOSE frame sent.
 
   // Client B is unaffected: full stream, byte-identical profile.
-  session::Client Client;
-  std::string Err;
-  ASSERT_TRUE(Client.connect(Fixture.socketPath(), Err)) << Err;
   uint64_t Id = 0;
   ASSERT_TRUE(openOver(Client, Reader, "survivor", Id, Err)) << Err;
   ASSERT_TRUE(Client.submitTrace(Id, Reader, Err)) << Err;
 
-  // The daemon reaps the dead connection on its poll cadence; wait for
-  // the abort to land before asserting on it.
-  bool Aborted = false;
-  for (int Try = 0; Try != 200 && !Aborted; ++Try) {
-    std::string Text;
-    ASSERT_TRUE(Client.snapshot(/*Format=*/1, "", Text, Err)) << Err;
-    Aborted = telemetry::Registry::global().snapshot().counter(
-                  "session.aborted") > AbortedBefore;
-  }
-  EXPECT_TRUE(Aborted);
+  // The daemon reaps the dead connection when its hangup is polled,
+  // which may trail this client's requests; ask until the abort shows.
+  uint64_t AbortedNow = AbortedBefore;
+  for (int Try = 0; Try != 200 && AbortedNow == AbortedBefore; ++Try)
+    ASSERT_TRUE(Aborted(AbortedNow)) << Err;
+  EXPECT_EQ(AbortedNow, AbortedBefore + 1);
 
   session::CloseSummary Summary;
   ASSERT_TRUE(Client.closeSession(Id, Summary, Err)) << Err;
@@ -804,6 +992,170 @@ TEST(DaemonTest, ClosingForeignSessionIsRejected) {
 
   ASSERT_TRUE(A.closeSession(Id, Summary, Err)) << Err;
   EXPECT_FALSE(Summary.Failed);
+}
+
+TEST(DaemonTest, EventsForForeignSessionIsRejected) {
+  std::string Path = tempPath("fevents.orpt");
+  recordTrace("list-traversal", Path);
+  SessionArtifacts Serial = serialArtifacts(Path);
+
+  DaemonFixture Fixture("fevents");
+  ASSERT_TRUE(Fixture.started());
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+
+  session::Client A, B;
+  std::string Err;
+  ASSERT_TRUE(A.connect(Fixture.socketPath(), Err)) << Err;
+  ASSERT_TRUE(B.connect(Fixture.socketPath(), Err)) << Err;
+  uint64_t Id = 0;
+  ASSERT_TRUE(openOver(A, Reader, "owned", Id, Err)) << Err;
+
+  // B never opened Id: its blocks must not reach A's session.
+  EXPECT_FALSE(B.submitBlock(Id, Reader.rawBlock(0), Reader.info().Version,
+                             Err));
+  EXPECT_NE(Err.find("session " + std::to_string(Id) +
+                     " not open on this connection"),
+            std::string::npos)
+      << Err;
+
+  ASSERT_TRUE(A.submitTrace(Id, Reader, Err)) << Err;
+  session::CloseSummary Summary;
+  ASSERT_TRUE(A.closeSession(Id, Summary, Err)) << Err;
+  EXPECT_FALSE(Summary.Failed) << Summary.Error;
+  EXPECT_EQ(Summary.Omsg, Serial.Omsg);
+  EXPECT_EQ(Summary.Leap, Serial.Leap);
+  std::remove(Path.c_str());
+}
+
+namespace {
+
+/// A raw connection to the daemon, so a test can pipeline requests the
+/// blocking Client would send one at a time.
+class RawConn {
+public:
+  explicit RawConn(const std::string &SocketPath) {
+    sockaddr_un Addr{};
+    Addr.sun_family = AF_UNIX;
+    if (SocketPath.size() >= sizeof(Addr.sun_path))
+      return;
+    std::memcpy(Addr.sun_path, SocketPath.c_str(), SocketPath.size() + 1);
+    Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (Fd >= 0 &&
+        ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
+      ::close(Fd);
+      Fd = -1;
+    }
+  }
+  ~RawConn() {
+    if (Fd >= 0)
+      ::close(Fd);
+  }
+
+  bool ok() const { return Fd >= 0; }
+
+  bool send(const std::vector<uint8_t> &Bytes) {
+    for (size_t Pos = 0; Pos != Bytes.size();) {
+      ssize_t N = ::send(Fd, Bytes.data() + Pos, Bytes.size() - Pos,
+                         MSG_NOSIGNAL);
+      if (N <= 0)
+        return false;
+      Pos += static_cast<size_t>(N);
+    }
+    return true;
+  }
+
+  bool recv(session::Frame &Out) {
+    while (!Parser.next(Out)) {
+      uint8_t Buf[64 * 1024];
+      ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
+      if (N <= 0 || Parser.failed())
+        return false;
+      Parser.feed(Buf, static_cast<size_t>(N));
+    }
+    return true;
+  }
+
+private:
+  int Fd = -1;
+  session::FrameParser Parser;
+};
+
+} // namespace
+
+TEST(DaemonTest, PipelinedRequestsGetRepliesInRequestOrder) {
+  std::string Path = tempPath("order.orpt");
+  recordTrace("list-traversal", Path);
+  SessionArtifacts Serial = serialArtifacts(Path);
+
+  // One shard, and more blocks than the default ingest queue holds: the
+  // pipelined EVENTS stall, and the CLOSE and SNAPSHOT behind them wait
+  // their turn.
+  DaemonFixture Fixture("order", /*Threads=*/1);
+  ASSERT_TRUE(Fixture.started());
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  ASSERT_GT(Reader.numEventBlocks(),
+            session::ManagerConfig{}.IngestQueueCapacity + 1);
+  RawConn Conn(Fixture.socketPath());
+  ASSERT_TRUE(Conn.ok());
+
+  session::OpenRequest Req;
+  Req.Name = "order";
+  Req.Config = configFor(Reader);
+  Req.Instrs = Reader.instructions();
+  Req.Sites = Reader.allocSites();
+  std::vector<uint8_t> Payload, Stream;
+  session::encodeOpen(Req, Payload);
+  session::appendFrame(session::FrameType::Open, Payload, Stream);
+  ASSERT_TRUE(Conn.send(Stream));
+  session::Frame Reply;
+  ASSERT_TRUE(Conn.recv(Reply));
+  ASSERT_EQ(Reply.Type, session::FrameType::ReplyOk);
+  uint64_t Id = 0;
+  std::string Err;
+  ASSERT_TRUE(session::decodeSessionId(Reply.Payload.data(),
+                                       Reply.Payload.size(), "OPEN reply",
+                                       Id, Err))
+      << Err;
+
+  // Every EVENTS, then CLOSE, then SNAPSHOT, in one write.
+  Stream.clear();
+  const size_t NumBlocks = Reader.numEventBlocks();
+  for (size_t I = 0; I != NumBlocks; ++I) {
+    traceio::TraceReader::RawBlock B = Reader.rawBlock(I);
+    Payload.clear();
+    session::encodeEventsHeader(Id, B.EventCount, Reader.info().Version,
+                                B.Crc, Payload);
+    Payload.insert(Payload.end(), B.Payload, B.Payload + B.PayloadLen);
+    session::appendFrame(session::FrameType::Events, Payload, Stream);
+  }
+  Payload.clear();
+  session::encodeSessionId(Id, Payload);
+  session::appendFrame(session::FrameType::Close, Payload, Stream);
+  Payload.clear();
+  session::encodeSnapshot(session::SnapshotRequest{/*Format=*/1, ""},
+                          Payload);
+  session::appendFrame(session::FrameType::Snapshot, Payload, Stream);
+  ASSERT_TRUE(Conn.send(Stream));
+
+  for (size_t I = 0; I != NumBlocks; ++I) {
+    ASSERT_TRUE(Conn.recv(Reply));
+    ASSERT_EQ(Reply.Type, session::FrameType::ReplyOk) << "EVENTS " << I;
+    EXPECT_TRUE(Reply.Payload.empty());
+  }
+  ASSERT_TRUE(Conn.recv(Reply));
+  ASSERT_EQ(Reply.Type, session::FrameType::ReplyOk);
+  session::CloseSummary Summary;
+  ASSERT_TRUE(session::decodeCloseSummary(Reply.Payload.data(),
+                                          Reply.Payload.size(), Summary, Err))
+      << Err;
+  EXPECT_FALSE(Summary.Failed) << Summary.Error;
+  EXPECT_EQ(Summary.Omsg, Serial.Omsg);
+  EXPECT_EQ(Summary.Leap, Serial.Leap);
+  ASSERT_TRUE(Conn.recv(Reply));
+  EXPECT_EQ(Reply.Type, session::FrameType::ReplySnapshot);
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
