@@ -4,7 +4,8 @@
 // Sequitur append rate on several stream shapes, OMC translation rate
 // vs. live-object count, LMAD compressor point rate, and the end-to-end
 // probe->CDC->profiler pipeline cost per access (the per-access cost
-// behind Table 1's dilation factor).
+// behind Table 1's dilation factor), and the cost of writing the OMSG
+// artifact at finalize.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,7 @@
 #include "traceio/TraceReader.h"
 #include "traceio/TraceReplayer.h"
 #include "traceio/TraceWriter.h"
+#include "whomp/OmsgArchive.h"
 #include "whomp/Whomp.h"
 #include "workloads/Workload.h"
 
@@ -397,6 +399,40 @@ BENCHMARK(BM_PipelineReplayThreads)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+/// Finalize cost of the OMSG artifact for one vpr-a profile, built once
+/// outside the timed region. Arg 0 is OmsgArchive::build().serialize(),
+/// which expands every dimension stream before writing; Arg 1 is
+/// OmsgArchive::serializeProfile(), the path ProfileSession::finalize
+/// takes, which writes the same bytes straight from the grammars.
+/// Items = profiled accesses.
+void BM_OmsgFinalize(benchmark::State &State) {
+  struct Profile {
+    core::ProfilingSession Session;
+    whomp::WhompProfiler Whomp;
+    Profile() {
+      Session.addConsumer(&Whomp);
+      workloads::WorkloadConfig Config;
+      workloads::createVprA()->run(Session.memory(), Session.registry(),
+                                   Config);
+      Session.finish();
+    }
+  };
+  static Profile P;
+  const bool Direct = State.range(0) != 0;
+  for (auto _ : State) {
+    std::vector<uint8_t> Bytes =
+        Direct ? whomp::OmsgArchive::serializeProfile(P.Whomp,
+                                                      &P.Session.omc())
+               : whomp::OmsgArchive::build(P.Whomp, &P.Session.omc())
+                     .serialize();
+    benchmark::DoNotOptimize(Bytes.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations() *
+                                               P.Whomp.tuplesSeen()));
+}
+BENCHMARK(BM_OmsgFinalize)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 //===----------------------------------------------------------------------===//
 // Tiered placement simulation

@@ -97,6 +97,7 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
   // Rule bodies: guard rings intact, member symbols live and owned by
   // exactly one body, referenced rules live.
   std::unordered_map<const Symbol *, const Rule *> BodyOwner;
+  bool ValuesOk = true;
   for (const Rule *R : LiveListed) {
     if (!Report.require(R->Guard != nullptr,
                         ruleName(R->Id) + ": missing guard"))
@@ -126,10 +127,16 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
       if (S->Next == nullptr || S->Next->Prev != S ||
           (S->Prev && S->Prev->Next != S))
         Report.fail(ruleName(R->Id) + ": body links are inconsistent");
-      if (S->RuleRef)
+      if (S->RuleRef) {
         Report.require(S->RuleRef->Live && LiveListed.count(S->RuleRef),
                        ruleName(R->Id) + ": body references dead rule " +
                            ruleName(S->RuleRef->Id));
+        // The rule numbering indexes a per-id table by this value.
+        ValuesOk &= Report.require(
+            S->Value == S->RuleRef->Id && S->Value < G.NextRuleId,
+            ruleName(R->Id) + ": use of " + ruleName(S->RuleRef->Id) +
+                " carries value " + std::to_string(S->Value));
+      }
       ++BodyLen;
     }
     if (RingOk && R != G.Start)
@@ -175,17 +182,20 @@ CheckReport GrammarValidator::validate(const SequiturGrammar &G) {
                          ruleName(S->RuleRef->Id) + "'s use list");
 
   // Liveness tags must equal reachability from the start rule: a live
-  // rule no walk can reach is leaked garbage.
-  std::vector<const Rule *> Reach = G.reachableRules();
-  std::unordered_set<const Rule *> ReachSet(Reach.begin(), Reach.end());
-  for (const Rule *R : LiveListed)
-    Report.require(ReachSet.count(R) != 0,
-                   ruleName(R->Id) +
-                       ": live rule unreachable from the start rule");
-  for (const Rule *R : ReachSet)
-    Report.require(LiveListed.count(R) != 0,
-                   ruleName(R->Id) +
-                       ": reachable rule missing from the live-rule list");
+  // rule no walk can reach is leaked garbage. The walk numbers rules by
+  // their uses' values, so it needs them intact.
+  if (ValuesOk) {
+    std::vector<const Rule *> Reach = G.reachableRules();
+    std::unordered_set<const Rule *> ReachSet(Reach.begin(), Reach.end());
+    for (const Rule *R : LiveListed)
+      Report.require(ReachSet.count(R) != 0,
+                     ruleName(R->Id) +
+                         ": live rule unreachable from the start rule");
+    for (const Rule *R : ReachSet)
+      Report.require(LiveListed.count(R) != 0,
+                     ruleName(R->Id) +
+                         ": reachable rule missing from the live-rule list");
+  }
 
   // Digram uniqueness plus index coherence. Occurrences of one key may
   // only coexist when they overlap (the "aaa" run case); the index must
@@ -378,6 +388,14 @@ bool GrammarValidator::injectForTest(SequiturGrammar &G, Corruption K) {
       return false;
     S->Live = false;
     return true;
+  }
+  case Corruption::NonterminalValueSkew: {
+    for (Symbol *S = G.Start->Guard->Next; S != G.Start->Guard; S = S->Next)
+      if (S->RuleRef) {
+        S->Value = G.NextRuleId;
+        return true;
+      }
+    return false;
   }
   }
   return false;

@@ -15,6 +15,7 @@
 ///     every adjacency is findable in the index);
 ///   * digram uniqueness across all rule bodies;
 ///   * rule utility >= 2 and use-list/use-count agreement;
+///   * every nonterminal's Value equals its rule's id;
 ///   * intrusive live-list membership == liveness tags == reachability
 ///     from the start rule;
 ///   * arena discipline: free-list/pending-list nodes are dead and
@@ -70,10 +71,11 @@ public:
 
   /// Classes of deliberate corruption for negative tests.
   enum class Corruption {
-    DigramIndexDrop,     ///< Remove an index entry (completeness desync).
-    DigramIndexRetarget, ///< Repoint an entry at a wrong occurrence.
-    UseCountSkew,        ///< Bump a rule's UseCount with no matching use.
-    LivenessTagClear,    ///< Clear the Live tag of an in-body symbol.
+    DigramIndexDrop,      ///< Remove an index entry (completeness desync).
+    DigramIndexRetarget,  ///< Repoint an entry at a wrong occurrence.
+    UseCountSkew,         ///< Bump a rule's UseCount with no matching use.
+    LivenessTagClear,     ///< Clear the Live tag of an in-body symbol.
+    NonterminalValueSkew, ///< Point a use's Value past every rule id.
   };
 
   /// Injects \p K into \p G. Returns false when the grammar is too small

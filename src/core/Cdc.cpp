@@ -47,7 +47,6 @@ constexpr uint64_t OmcValidateIntervalMutations = 1024;
 
 Cdc::Cdc(omc::ObjectManager &Omc, UnknownAddressPolicy Policy)
     : Omc(Omc), Policy(Policy),
-      NextOmcValidateAt(OmcValidateIntervalMutations),
       BatchCounter(telemetry::Registry::global().counter("cdc.batches")),
       Collector(telemetry::Registry::global().addCollector(
           [this](telemetry::Registry &R) {
@@ -69,7 +68,8 @@ Cdc::Cdc(omc::ObjectManager &Omc, UnknownAddressPolicy Policy)
                 .set(static_cast<int64_t>(this->Omc.numGroups()));
             R.gauge("omc.live_objects")
                 .set(static_cast<int64_t>(this->Omc.numLiveObjects()));
-          })) {}
+          })),
+      NextOmcValidateAt(OmcValidateIntervalMutations) {}
 
 void Cdc::validateOmc(const char *When) const {
   check::CheckReport Report = check::OmcValidator::validate(Omc);

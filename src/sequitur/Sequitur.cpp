@@ -128,12 +128,13 @@ SequiturGrammar::~SequiturGrammar() {
 
 SequiturGrammar::Symbol *SequiturGrammar::newTerminal(uint64_t Value) {
   Symbol *S = allocSymbol();
-  S->Terminal = Value;
+  S->Value = Value;
   return S;
 }
 
 SequiturGrammar::Symbol *SequiturGrammar::newNonTerminal(Rule *R) {
   Symbol *S = allocSymbol();
+  S->Value = R->Id;
   S->RuleRef = R;
   S->UseNext = R->UseHead;
   if (R->UseHead)
@@ -201,8 +202,8 @@ SequiturGrammar::DigramKey SequiturGrammar::keyOf(const Symbol *A) const {
   const Symbol *B = A->Next;
   assert(!A->GuardOf && !B->GuardOf && "digram key of a guard");
   DigramKey K;
-  K.V1 = A->RuleRef ? A->RuleRef->Id : A->Terminal;
-  K.V2 = B->RuleRef ? B->RuleRef->Id : B->Terminal;
+  K.V1 = A->Value;
+  K.V2 = B->Value;
   K.Tags = static_cast<uint8_t>((A->RuleRef ? 1 : 0) | (B->RuleRef ? 2 : 0));
   return K;
 }
@@ -272,9 +273,9 @@ void SequiturGrammar::processMatch(Symbol *A, Symbol *M) {
   // are taken from A before any substitution can destroy it.
   R = newRule();
   Symbol *C1 = A->RuleRef ? newNonTerminal(A->RuleRef)
-                          : newTerminal(A->Terminal);
+                          : newTerminal(A->Value);
   Symbol *C2 = A->Next->RuleRef ? newNonTerminal(A->Next->RuleRef)
-                                : newTerminal(A->Next->Terminal);
+                                : newTerminal(A->Next->Value);
   link(R->Guard, C1);
   link(C1, C2);
   link(C2, R->Guard);
@@ -407,19 +408,53 @@ size_t SequiturGrammar::totalBodySymbols() const {
   return Total;
 }
 
+/// Numbers the rules reachable from the start rule densely, in
+/// first-visit order: the start rule is 0 and the rules are walked
+/// breadth first, each body read in order. Rule ids come from
+/// NextRuleId++, so the numbers live in a vector indexed by id, and a
+/// nonterminal's Value (its rule id) finds its number without loading
+/// the rule.
+class SequiturGrammar::RuleNumbering {
+public:
+  explicit RuleNumbering(const SequiturGrammar &G)
+      : Num(static_cast<size_t>(G.NextRuleId), kUnnumbered) {
+    Num[static_cast<size_t>(G.Start->Id)] = 0;
+    Order.push_back(G.Start);
+  }
+
+  /// Returns the number of the rule \p Use references, numbering the
+  /// rule and queueing it for the walk on its first visit.
+  uint32_t numberOf(const Symbol *Use) {
+    uint32_t &N = Num[static_cast<size_t>(Use->Value)];
+    if (N == kUnnumbered) {
+      N = static_cast<uint32_t>(Order.size());
+      Order.push_back(Use->RuleRef);
+    }
+    return N;
+  }
+
+  /// Numbers every reachable rule without producing output.
+  void numberAll() {
+    for (size_t I = 0; I != Order.size(); ++I)
+      for (const Symbol *S = Order[I]->Guard->Next; S != Order[I]->Guard;
+           S = S->Next)
+        if (S->RuleRef)
+          numberOf(S);
+  }
+
+  /// Rules in number order; grows while a walk visits new rules.
+  std::vector<const Rule *> Order;
+
+private:
+  static constexpr uint32_t kUnnumbered = ~static_cast<uint32_t>(0);
+  std::vector<uint32_t> Num;
+};
+
 std::vector<const SequiturGrammar::Rule *>
 SequiturGrammar::reachableRules() const {
-  std::vector<const Rule *> Order;
-  std::unordered_map<const Rule *, size_t> Seen;
-  Order.push_back(Start);
-  Seen.emplace(Start, 0);
-  for (size_t I = 0; I != Order.size(); ++I) {
-    const Rule *R = Order[I];
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next)
-      if (S->RuleRef && Seen.emplace(S->RuleRef, Order.size()).second)
-        Order.push_back(S->RuleRef);
-  }
-  return Order;
+  RuleNumbering Numbers(*this);
+  Numbers.numberAll();
+  return std::move(Numbers.Order);
 }
 
 std::vector<uint64_t> SequiturGrammar::expandAll() const {
@@ -439,35 +474,40 @@ std::vector<uint64_t> SequiturGrammar::expandAll() const {
     if (S->RuleRef)
       Stack.push_back(S->RuleRef->Guard->Next);
     else
-      Out.push_back(S->Terminal);
+      Out.push_back(S->Value);
   }
   return Out;
 }
 
 std::vector<uint8_t> SequiturGrammar::serialize() const {
-  std::vector<const Rule *> Order = reachableRules();
-  std::unordered_map<const Rule *, uint64_t> Ids;
-  for (size_t I = 0; I != Order.size(); ++I)
-    Ids.emplace(Order[I], I);
-
+  // One pass: each reachable body is read once, numbering the rules it
+  // references on first visit. A body's codes are buffered so its length
+  // prefix goes first; the rule count is known only once the walk ends,
+  // so the two-field header is prepended last.
+  RuleNumbering Numbers(*this);
   std::vector<uint8_t> Out;
-  encodeULEB128(Order.size(), Out);
-  encodeULEB128(InputLen, Out);
-  for (const Rule *R : Order) {
+  std::vector<uint8_t> Codes;
+  for (size_t I = 0; I != Numbers.Order.size(); ++I) {
+    const Rule *R = Numbers.Order[I];
     size_t BodyLen = 0;
-    for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next)
-      ++BodyLen;
-    encodeULEB128(BodyLen, Out);
+    Codes.clear();
     for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next) {
+      ++BodyLen;
       if (S->RuleRef) {
-        encodeULEB128((Ids.at(S->RuleRef) << 1) | 1, Out);
+        encodeULEB128((uint64_t{Numbers.numberOf(S)} << 1) | 1, Codes);
       } else {
-        assert(S->Terminal < (1ULL << 63) &&
+        assert(S->Value < (1ULL << 63) &&
                "terminal too large for tagged encoding");
-        encodeULEB128(S->Terminal << 1, Out);
+        encodeULEB128(S->Value << 1, Codes);
       }
     }
+    encodeULEB128(BodyLen, Out);
+    Out.insert(Out.end(), Codes.begin(), Codes.end());
   }
+  std::vector<uint8_t> Header;
+  encodeULEB128(Numbers.Order.size(), Header);
+  encodeULEB128(InputLen, Header);
+  Out.insert(Out.begin(), Header.begin(), Header.end());
   return Out;
 }
 
@@ -629,24 +669,19 @@ bool SequiturGrammar::deserializeAndExpandChecked(const uint8_t *Data,
 }
 
 std::string SequiturGrammar::dump() const {
-  std::vector<const Rule *> Order = reachableRules();
-  std::unordered_map<const Rule *, uint64_t> Ids;
-  for (size_t I = 0; I != Order.size(); ++I)
-    Ids.emplace(Order[I], I);
-
+  RuleNumbering Numbers(*this);
   std::string Out;
   char Buf[64];
-  for (const Rule *R : Order) {
-    std::snprintf(Buf, sizeof(Buf), "R%llu ->",
-                  static_cast<unsigned long long>(Ids.at(R)));
+  for (size_t I = 0; I != Numbers.Order.size(); ++I) {
+    const Rule *R = Numbers.Order[I];
+    std::snprintf(Buf, sizeof(Buf), "R%zu ->", I);
     Out += Buf;
     for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next) {
       if (S->RuleRef)
-        std::snprintf(Buf, sizeof(Buf), " R%llu",
-                      static_cast<unsigned long long>(Ids.at(S->RuleRef)));
+        std::snprintf(Buf, sizeof(Buf), " R%u", Numbers.numberOf(S));
       else
         std::snprintf(Buf, sizeof(Buf), " %llu",
-                      static_cast<unsigned long long>(S->Terminal));
+                      static_cast<unsigned long long>(S->Value));
       Out += Buf;
     }
     Out += '\n';
@@ -656,10 +691,9 @@ std::string SequiturGrammar::dump() const {
 
 std::vector<SequiturGrammar::RuleStats>
 SequiturGrammar::ruleStats(size_t PrefixCap) const {
-  std::vector<const Rule *> Order = reachableRules();
-  std::unordered_map<const Rule *, size_t> Ids;
-  for (size_t I = 0; I != Order.size(); ++I)
-    Ids.emplace(Order[I], I);
+  RuleNumbering Numbers(*this);
+  Numbers.numberAll();
+  const std::vector<const Rule *> &Order = Numbers.Order;
 
   // Expanded lengths, memoized over the rule DAG (rules never reference
   // themselves, directly or transitively).
@@ -670,7 +704,7 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
     uint64_t Len = 0;
     const Rule *R = Order[Idx];
     for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next)
-      Len += S->RuleRef ? LengthOf(Ids.at(S->RuleRef)) : 1;
+      Len += S->RuleRef ? LengthOf(Numbers.numberOf(S)) : 1;
     Expanded[Idx] = Len;
     return Len;
   };
@@ -691,7 +725,7 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
       const Rule *R = Order[I];
       for (const Symbol *S = R->Guard->Next; S != R->Guard; S = S->Next)
         if (S->RuleRef)
-          Next[Ids.at(S->RuleRef)] += Count[I];
+          Next[Numbers.numberOf(S)] += Count[I];
     }
     Changed = Next != Count;
     Count = std::move(Next);
@@ -721,7 +755,7 @@ SequiturGrammar::ruleStats(size_t PrefixCap) const {
       if (S->RuleRef)
         Stack.push_back(S->RuleRef->Guard->Next);
       else
-        RS.Prefix.push_back(S->Terminal);
+        RS.Prefix.push_back(S->Value);
     }
     Stats.push_back(std::move(RS));
   }
@@ -762,7 +796,7 @@ bool SequiturGrammar::checkInvariants() const {
         return false;
       if (!S->Live)
         return false;
-      if (S->RuleRef && !S->RuleRef->Live)
+      if (S->RuleRef && (!S->RuleRef->Live || S->Value != S->RuleRef->Id))
         return false;
       ++BodyLen;
     }

@@ -136,6 +136,9 @@ public:
   size_t numSymbolSlabs() const { return SymbolSlabs.size(); }
   size_t numRuleSlabs() const { return RuleSlabs.size(); }
   size_t numDigrams() const { return Index.size(); }
+  /// Rule ids issued so far, inlined and deleted rules included; never
+  /// below numRules().
+  uint64_t rulesCreated() const { return NextRuleId; }
   /// @}
 
 private:
@@ -217,8 +220,11 @@ private:
   bool isLive(const Symbol *S) const;
   bool isLiveRule(const Rule *R) const;
 
-  /// Collects live rules reachable from the start rule, start first, in
-  /// first-visit order; assigns dense ids for serialization/dump.
+  /// Dense rule numbers for serialize(), dump() and ruleStats().
+  class RuleNumbering;
+
+  /// Returns the rules reachable from the start rule, start first, in
+  /// the first-visit order that gives them their dense numbers.
   std::vector<const Rule *> reachableRules() const;
 
   Rule *Start;

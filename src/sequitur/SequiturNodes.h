@@ -31,7 +31,9 @@ namespace sequitur {
 struct SequiturGrammar::Symbol {
   Symbol *Next = nullptr;
   Symbol *Prev = nullptr;
-  uint64_t Terminal = 0;
+  /// The terminal, or RuleRef->Id for a nonterminal: digram keys and
+  /// the serializer's rule numbering read it without loading the rule.
+  uint64_t Value = 0;
   Rule *RuleRef = nullptr; ///< Non-null iff this is a nonterminal.
   Rule *GuardOf = nullptr; ///< Non-null iff this is a guard.
   Symbol *UseNext = nullptr; ///< Next use of RuleRef (intrusive list).

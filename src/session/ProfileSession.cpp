@@ -207,7 +207,7 @@ SessionArtifacts ProfileSession::finalize() {
   A.Failed = Failed;
   A.Error = Err;
   if (Whomp)
-    A.Omsg = whomp::OmsgArchive::build(*Whomp, &Core->omc()).serialize();
+    A.Omsg = whomp::OmsgArchive::serializeProfile(*Whomp, &Core->omc());
   if (Leap)
     A.Leap = leap::LeapProfileData::fromProfiler(*Leap).serialize();
   return A;

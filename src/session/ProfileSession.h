@@ -150,9 +150,10 @@ public:
   static constexpr char kCheckpointMagic[4] = {'O', 'R', 'C', 'K'};
   static constexpr uint8_t kCheckpointVersion = 1;
 
-  /// Finishes the pipeline (once) and builds the detached artifacts.
-  /// Idempotent in effect but rebuilds the artifact bytes each call —
-  /// call once at end of life.
+  /// Finishes the pipeline (once) and builds the detached artifacts; the
+  /// OMSG archive is written straight from the grammars, with no stream
+  /// expansion. Idempotent in effect but rebuilds the artifact bytes
+  /// each call — call once at end of life.
   SessionArtifacts finalize();
 
   bool failed() const { return Failed; }

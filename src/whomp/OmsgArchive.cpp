@@ -17,29 +17,54 @@ const core::Dimension Dims[] = {
     core::Dimension::Instruction, core::Dimension::Group,
     core::Dimension::Object, core::Dimension::Offset};
 
+std::vector<std::vector<uint8_t>>
+grammarImagesOf(const WhompProfiler &Profiler) {
+  std::vector<std::vector<uint8_t>> Images;
+  for (core::Dimension D : Dims)
+    Images.push_back(Profiler.grammarFor(D).serialize());
+  return Images;
+}
+
+std::vector<ObjectAux> auxRowsOf(const omc::ObjectManager *Omc) {
+  std::vector<ObjectAux> Rows;
+  if (!Omc)
+    return Rows;
+  Rows.reserve(Omc->records().size());
+  for (const auto &Rec : Omc->records())
+    Rows.push_back(ObjectAux{Rec.Group, Rec.Serial, Rec.Size, Rec.AllocTime,
+                             Rec.FreeTime});
+  return Rows;
+}
+
 } // namespace
 
 OmsgArchive OmsgArchive::build(const WhompProfiler &Profiler,
                                const omc::ObjectManager *Omc) {
   OmsgArchive Archive;
-  for (core::Dimension D : Dims) {
-    const auto &Grammar = Profiler.grammarFor(D);
-    Archive.GrammarImages.push_back(Grammar.serialize());
-    Archive.Streams.push_back(Grammar.expandAll());
-  }
-  if (Omc) {
-    for (const auto &Rec : Omc->records())
-      Archive.Aux.push_back(ObjectAux{Rec.Group, Rec.Serial, Rec.Size,
-                                      Rec.AllocTime, Rec.FreeTime});
-  }
+  Archive.GrammarImages = grammarImagesOf(Profiler);
+  for (core::Dimension D : Dims)
+    Archive.Streams.push_back(Profiler.grammarFor(D).expandAll());
+  Archive.Aux = auxRowsOf(Omc);
   return Archive;
 }
 
+std::vector<uint8_t>
+OmsgArchive::serializeProfile(const WhompProfiler &Profiler,
+                              const omc::ObjectManager *Omc) {
+  return writeFrame(grammarImagesOf(Profiler), auxRowsOf(Omc));
+}
+
 std::vector<uint8_t> OmsgArchive::serialize() const {
+  return writeFrame(GrammarImages, Aux);
+}
+
+std::vector<uint8_t>
+OmsgArchive::writeFrame(const std::vector<std::vector<uint8_t>> &Images,
+                        const std::vector<ObjectAux> &Aux) {
   std::vector<uint8_t> Out;
   support::beginFrame(kMagic, kFormatVersion, Out);
-  encodeULEB128(GrammarImages.size(), Out);
-  for (const auto &Image : GrammarImages)
+  encodeULEB128(Images.size(), Out);
+  for (const auto &Image : Images)
     support::appendLenPrefixed(Image, Out);
   encodeULEB128(Aux.size(), Out);
   for (const ObjectAux &Row : Aux) {

@@ -47,9 +47,17 @@ class OmsgArchive {
 public:
   /// Builds the invariant part from \p Profiler; when \p Omc is given,
   /// the auxiliary lifetime table is included (base addresses — the
-  /// run-dependent raw data — are deliberately NOT stored).
+  /// run-dependent raw data — are deliberately NOT stored). Expands
+  /// every grammar for dimensionStreams(); a caller that only writes
+  /// the artifact should use serializeProfile() instead.
   static OmsgArchive build(const WhompProfiler &Profiler,
                            const omc::ObjectManager *Omc = nullptr);
+
+  /// Returns build(Profiler, Omc).serialize() byte for byte, written
+  /// straight from the live grammars: no dimension stream is expanded.
+  static std::vector<uint8_t>
+  serializeProfile(const WhompProfiler &Profiler,
+                   const omc::ObjectManager *Omc = nullptr);
 
   /// Archive magic ("OMSA") and current format version.
   static constexpr char kMagic[4] = {'O', 'M', 'S', 'A'};
@@ -102,6 +110,12 @@ public:
   }
 
 private:
+  /// The one writer of the archive layout, behind serialize() and
+  /// serializeProfile().
+  static std::vector<uint8_t>
+  writeFrame(const std::vector<std::vector<uint8_t>> &Images,
+             const std::vector<ObjectAux> &Aux);
+
   /// Serialized grammar images, one per dimension; kept so that
   /// serialize() is cheap and deterministic.
   std::vector<std::vector<uint8_t>> GrammarImages;

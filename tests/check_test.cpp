@@ -127,6 +127,20 @@ TEST(GrammarValidatorTest, CatchesLivenessTagClear) {
   EXPECT_FALSE(Report.ok());
 }
 
+TEST(GrammarValidatorTest, CatchesNonterminalValueSkew) {
+  // The rule numbering indexes a per-id table by a use's Value, so a
+  // value that is not its rule's id must fail validation, not index out
+  // of bounds during the reachability walk.
+  sequitur::SequiturGrammar G;
+  appendPeriodic(G);
+  ASSERT_TRUE(GrammarValidator::injectForTest(
+      G, GrammarValidator::Corruption::NonterminalValueSkew));
+  check::CheckReport Report = GrammarValidator::validate(G);
+  EXPECT_FALSE(Report.ok());
+  EXPECT_NE(Report.str().find("carries value"), std::string::npos)
+      << Report.str();
+}
+
 //===----------------------------------------------------------------------===//
 // Sequitur arena poisoning (the use-after-free detector)
 //===----------------------------------------------------------------------===//

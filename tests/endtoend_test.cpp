@@ -20,6 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 using namespace orp;
 
 namespace {
@@ -50,9 +53,16 @@ TEST_P(EndToEndTest, WhompIsLosslessOnEveryBenchmark) {
   for (core::Dimension D : Dims) {
     auto Expanded = Whomp.grammarFor(D).expandAll();
     ASSERT_EQ(Expanded.size(), Tuples.Tuples.size()) << GetParam();
-    for (size_t I = 0; I < Expanded.size(); I += 97) // Sampled compare.
-      ASSERT_EQ(Expanded[I], core::dimensionValue(Tuples.Tuples[I], D))
-          << GetParam() << " dim " << core::dimensionName(D) << " @" << I;
+    std::vector<uint64_t> Want;
+    Want.reserve(Tuples.Tuples.size());
+    for (const core::OrTuple &T : Tuples.Tuples)
+      Want.push_back(core::dimensionValue(T, D));
+    auto [Got, Expect] =
+        std::mismatch(Expanded.begin(), Expanded.end(), Want.begin());
+    ASSERT_TRUE(Got == Expanded.end())
+        << GetParam() << " dim " << core::dimensionName(D)
+        << " first differs @" << (Got - Expanded.begin()) << ": " << *Got
+        << " != " << *Expect;
   }
 }
 

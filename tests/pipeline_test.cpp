@@ -27,6 +27,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace orp;
@@ -155,11 +156,15 @@ TEST(SpscQueueTest, TelemetryTracksDepthWatermarkAndStalls) {
   EXPECT_EQ(T2.Pops, 2u);
 
   // Fill the queue, then have a consumer drain while a blocked push
-  // waits: the stall must be counted exactly once.
+  // waits: the stall must be counted exactly once. push() counts the
+  // stall under the lock before it waits, so the consumer holds off its
+  // first pop until the count shows the producer is blocked.
   ASSERT_TRUE(Q.push(4));
   ASSERT_TRUE(Q.push(5));
   ASSERT_TRUE(Q.push(6));
   support::ScopedThread Consumer([&] {
+    while (Q.telemetry().PushStalls != 1)
+      std::this_thread::yield();
     int X;
     for (int I = 0; I != 5; ++I)
       EXPECT_TRUE(Q.pop(X));

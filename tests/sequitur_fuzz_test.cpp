@@ -21,6 +21,7 @@
 #include "support/Random.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -90,6 +91,70 @@ TEST(SequiturFuzzTest, RandomSeedsRoundTrip) {
     ASSERT_EQ(G.expandAll(), Input) << "alphabet " << Case.Alphabet;
     ASSERT_EQ(SequiturGrammar::deserializeAndExpand(G.serialize()), Input);
   }
+}
+
+/// Phrases of fresh symbols: phrase 0, phrases 1.. each emitted twice,
+/// then phrase 0 again and a repeated (last, 1) pair. Every repeat of an
+/// unseen phrase creates a rule per digram and inlines all but the last,
+/// so rule ids run far ahead of the live-rule count, and phrase 0's
+/// rule, created late, is the first one the start rule references.
+std::vector<uint64_t> churnStream(unsigned Phrases, unsigned Len) {
+  std::vector<std::vector<uint64_t>> P(Phrases);
+  uint64_t Fresh = 0;
+  for (unsigned I = 0; I != Phrases; ++I)
+    for (unsigned J = 0; J != Len + I % 3; ++J)
+      P[I].push_back(Fresh++);
+  std::vector<uint64_t> V;
+  auto Emit = [&](unsigned I) { V.insert(V.end(), P[I].begin(), P[I].end()); };
+  Emit(0);
+  for (unsigned I = 1; I != Phrases; ++I) {
+    Emit(I);
+    Emit(I);
+    if (I % 2 == 0)
+      V.push_back(1000 + I);
+  }
+  Emit(0);
+  for (int Rep = 0; Rep != 2; ++Rep) {
+    Emit(Phrases - 1);
+    Emit(1);
+    V.push_back(2000);
+  }
+  return V;
+}
+
+TEST(SequiturFuzzTest, SparseRuleIdsNumberDensely) {
+  // dump() and serialize() number rules densely in first-visit order
+  // whatever the internal ids are. Text and CRCs were recorded from the
+  // hash-map numbering the per-id vector replaced.
+  SequiturGrammar Small;
+  Small.appendAll(churnStream(5, 4));
+  ASSERT_TRUE(Small.checkInvariants());
+  EXPECT_EQ(Small.numRules(), 7u);
+  EXPECT_EQ(Small.rulesCreated(), 34u);
+  EXPECT_EQ(Small.dump(), "R0 -> R1 R2 R2 R3 R3 1002 R4 R4 R5 R5 1004 R1 R6 R6\n"
+                          "R1 -> 0 1 2 3\n"
+                          "R2 -> 4 5 6 7 8\n"
+                          "R3 -> 9 10 11 12 13 14\n"
+                          "R4 -> 15 16 17 18\n"
+                          "R5 -> 19 20 21 22 23\n"
+                          "R6 -> R5 R2 2000\n");
+  EXPECT_EQ(crc32(Small.serialize()), 0xb636a60au);
+
+  std::vector<uint64_t> Input = churnStream(48, 24);
+  SequiturGrammar Large;
+  Large.appendAll(Input);
+  ASSERT_TRUE(Large.checkInvariants());
+  EXPECT_EQ(Large.numRules(), 50u);
+  EXPECT_EQ(Large.rulesCreated(), 1249u);
+  std::vector<uint8_t> Image = Large.serialize();
+  EXPECT_EQ(Image.size(), 2537u);
+  EXPECT_EQ(crc32(Image), 0xe5dcc714u);
+  EXPECT_EQ(SequiturGrammar::deserializeAndExpand(Image), Input);
+  std::vector<SequiturGrammar::RuleStats> Stats = Large.ruleStats();
+  ASSERT_EQ(Stats.size(), Large.numRules());
+  for (size_t I = 0; I != Stats.size(); ++I)
+    EXPECT_EQ(Stats[I].Id, I);
+  EXPECT_EQ(Stats[0].ExpandedLength, Input.size());
 }
 
 TEST(SequiturFuzzTest, ArenaReusesAcrossStreams) {

@@ -23,6 +23,7 @@
 #include "telemetry/Registry.h"
 #include "traceio/TraceReader.h"
 #include "traceio/TraceWriter.h"
+#include "whomp/OmsgArchive.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -33,12 +34,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace orp;
@@ -528,6 +531,82 @@ TEST(SessionManagerTest, CorruptBlockFailsOnlyItsOwnSession) {
 }
 
 //===----------------------------------------------------------------------===//
+// Finalize writes the OMSG archive straight from the grammars
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \p Session's OMSG archive by way of the expanded in-memory archive,
+/// the reference finalize()'s direct write must match byte for byte.
+std::vector<uint8_t> omsgViaBuild(session::ProfileSession &Session) {
+  return whomp::OmsgArchive::build(*Session.whomp(), &Session.core().omc())
+      .serialize();
+}
+
+using DirectFinalizeParam = std::tuple<const char *, unsigned>;
+
+class DirectFinalizeTest
+    : public ::testing::TestWithParam<DirectFinalizeParam> {};
+
+} // namespace
+
+TEST_P(DirectFinalizeTest, BytesEqualBuildThenSerialize) {
+  auto [Workload, Threads] = GetParam();
+  std::string Path = tempPath(std::string("direct_") + Workload + "_" +
+                              std::to_string(Threads) + ".orpt");
+  recordTrace(Workload, Path, /*Scale=*/1, /*BlockBytes=*/64 << 10);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  session::SessionConfig Config = configFor(Reader);
+  Config.ProfilerThreads = Threads;
+  session::ProfileSession Session("direct", Config);
+  ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
+  SessionArtifacts A = Session.finalize();
+  ASSERT_FALSE(A.Failed) << A.Error;
+  EXPECT_EQ(A.Omsg, omsgViaBuild(Session));
+  // Without an object manager the archive carries no object table.
+  EXPECT_EQ(whomp::OmsgArchive::serializeProfile(*Session.whomp()),
+            whomp::OmsgArchive::build(*Session.whomp()).serialize());
+  std::remove(Path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, DirectFinalizeTest,
+    ::testing::Combine(::testing::Values("list-traversal", "175.vpr-a",
+                                         "181.mcf-a"),
+                       ::testing::Values(1u, 2u)),
+    [](const ::testing::TestParamInfo<DirectFinalizeParam> &Info) {
+      std::string Name = std::get<0>(Info.param);
+      for (char &C : Name)
+        if (!std::isalnum(static_cast<unsigned char>(C)))
+          C = '_';
+      return Name + "_t" + std::to_string(std::get<1>(Info.param));
+    });
+
+TEST(SessionManagerTest, CloseBytesEqualBuildThenSerialize) {
+  ScopedRole Role(session::SessionControlRole);
+  std::string Path = tempPath("direct_close.orpt");
+  recordTrace("175.vpr-a", Path);
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  session::ProfileSession Serial("serial", configFor(Reader));
+  ASSERT_TRUE(Serial.replayFrom(Reader)) << Serial.error();
+  Serial.finalize();
+  std::vector<uint8_t> Want = omsgViaBuild(Serial);
+
+  session::ManagerConfig Config;
+  Config.Threads = 2;
+  session::SessionManager Mgr(Config);
+  SessionId Id = openFor(Mgr, Reader, "direct");
+  for (size_t I = 0; I != Reader.numEventBlocks(); ++I)
+    submitBlock(Mgr, Id, Reader, I);
+  SessionArtifacts Art = Mgr.close(Id);
+  ASSERT_FALSE(Art.Failed) << Art.Error;
+  EXPECT_EQ(Art.Omsg, Want);
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
 // Wire protocol codecs
 //===----------------------------------------------------------------------===//
 
@@ -844,14 +923,16 @@ TEST(DaemonTest, TwoClientsInterleavedMatchSerialReplay) {
   // Interleave at block granularity across the two connections.
   size_t NumA = ReaderA.numEventBlocks(), NumB = ReaderB.numEventBlocks();
   for (size_t I = 0; I < NumA || I < NumB; ++I) {
-    if (I < NumA)
+    if (I < NumA) {
       ASSERT_TRUE(ClientA.submitBlock(IdA, ReaderA.rawBlock(I),
                                       ReaderA.info().Version, Err))
           << Err;
-    if (I < NumB)
+    }
+    if (I < NumB) {
       ASSERT_TRUE(ClientB.submitBlock(IdB, ReaderB.rawBlock(I),
                                       ReaderB.info().Version, Err))
           << Err;
+    }
   }
 
   session::CloseSummary SummaryA, SummaryB;
