@@ -5,7 +5,7 @@
 // CLI vs daemon), so a change to a serializer that moved both sides
 // together would pass them all. These tests pin the CRC-32 and size of
 // each artifact image — .leap, .omsa, .omst, .orpa and the ORCK
-// checkpoint taken at a mid-trace block boundary — for two workloads,
+// checkpoint taken at a mid-trace block boundary — for three workloads,
 // so any change to any on-disk byte fails here first.
 //
 //===----------------------------------------------------------------------===//
@@ -122,4 +122,15 @@ TEST(ArtifactBytesTest, Mcf) {
                 /*Omst=*/{125, 0x92b2fc0c},
                 /*Orpa=*/{504, 0x4440e13d},
                 /*Orck=*/{80, 0xc3a66e8e}});
+}
+
+// vpr has the largest offset grammar of the three: the case where
+// .omst statistics and the .orpa offset pairs have the most to get wrong.
+TEST(ArtifactBytesTest, Vpr) {
+  checkGoldens({"175.vpr-a", 4096,
+                /*Leap=*/{4735, 0x2b32ccb0},
+                /*Omsa=*/{187166, 0xa255cef9},
+                /*Omst=*/{147, 0xe33f63b8},
+                /*Orpa=*/{603, 0x7d035e79},
+                /*Orck=*/{5535, 0xeee8cef9}});
 }
