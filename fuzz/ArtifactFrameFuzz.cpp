@@ -294,8 +294,13 @@ std::vector<uint8_t> seedStats() {
       Whomp.consume(core::OrTuple{1 + (I % 2), I % 3, I % 5, (I % 7) * 8,
                                   ++Time, false, 8});
   Whomp.finish();
-  return whomp::OmsgStats::fromArchive(whomp::OmsgArchive::build(Whomp))
-      .serialize();
+  whomp::OmsgArchive Archive;
+  std::string Err;
+  ORP_FUZZ_REQUIRE(whomp::OmsgArchive::deserialize(
+                       whomp::OmsgArchive::serializeProfile(Whomp), Archive,
+                       Err),
+                   "seed archive failed to parse");
+  return whomp::OmsgStats::fromArchive(Archive).serialize();
 }
 
 /// The OMC section of a real run: list-traversal's objects, groups and

@@ -23,23 +23,26 @@ void OffsetPairScanner::consume(const core::OrTuple &T) {
 OffsetPairCounts
 orp::advisor::offsetPairsFromArchive(const whomp::OmsgArchive &Archive) {
   OffsetPairCounts Counts;
-  // Streams are (instr, group, object, offset); walking them in lockstep
-  // replays the tuple stream losslessly.
-  const auto &Streams = Archive.dimensionStreams();
-  if (Streams.size() < 4)
+  // Grammars are (instr, group, object, offset); expanding the last
+  // three in lockstep replays their part of the tuple stream losslessly.
+  const auto &Grammars = Archive.grammars();
+  if (Grammars.size() < 4)
     return Counts;
-  const std::vector<uint64_t> &Groups = Streams[1];
-  const std::vector<uint64_t> &Objects = Streams[2];
-  const std::vector<uint64_t> &Offsets = Streams[3];
-  size_t N = std::min({Groups.size(), Objects.size(), Offsets.size()});
-  for (size_t I = 1; I < N; ++I) {
-    if (Groups[I] != Groups[I - 1] || Objects[I] != Objects[I - 1] ||
-        Offsets[I] == Offsets[I - 1])
-      continue;
-    uint64_t A = Offsets[I - 1], B = Offsets[I];
-    if (A > B)
-      std::swap(A, B);
-    ++Counts[OffsetPairKey{static_cast<omc::GroupId>(Groups[I]), A, B}];
+  sequitur::GrammarImage::Expander Groups(Grammars[1]), Objects(Grammars[2]),
+      Offsets(Grammars[3]);
+  uint64_t Group = 0, Object = 0, Offset = 0;
+  uint64_t PrevGroup = 0, PrevObject = 0, PrevOffset = 0;
+  bool HavePrev = false;
+  while (Groups.next(Group) && Objects.next(Object) && Offsets.next(Offset)) {
+    if (HavePrev && Group == PrevGroup && Object == PrevObject &&
+        Offset != PrevOffset)
+      ++Counts[OffsetPairKey{static_cast<omc::GroupId>(Group),
+                             std::min(PrevOffset, Offset),
+                             std::max(PrevOffset, Offset)}];
+    PrevGroup = Group;
+    PrevObject = Object;
+    PrevOffset = Offset;
+    HavePrev = true;
   }
   return Counts;
 }

@@ -3,55 +3,27 @@
 #include "whomp/OmsgArchive.h"
 
 #include "support/ArtifactFrame.h"
-#include "support/Error.h"
 #include "support/VarInt.h"
-
-#include <cassert>
 
 using namespace orp;
 using namespace orp::whomp;
 
-namespace {
-
-const core::Dimension Dims[] = {
-    core::Dimension::Instruction, core::Dimension::Group,
-    core::Dimension::Object, core::Dimension::Offset};
-
-std::vector<std::vector<uint8_t>>
-grammarImagesOf(const WhompProfiler &Profiler) {
-  std::vector<std::vector<uint8_t>> Images;
-  for (core::Dimension D : Dims)
-    Images.push_back(Profiler.grammarFor(D).serialize());
-  return Images;
-}
-
-std::vector<ObjectAux> auxRowsOf(const omc::ObjectManager *Omc) {
-  std::vector<ObjectAux> Rows;
-  if (!Omc)
-    return Rows;
-  Rows.reserve(Omc->records().size());
-  for (const auto &Rec : Omc->records())
-    Rows.push_back(ObjectAux{Rec.Group, Rec.Serial, Rec.Size, Rec.AllocTime,
-                             Rec.FreeTime});
-  return Rows;
-}
-
-} // namespace
-
-OmsgArchive OmsgArchive::build(const WhompProfiler &Profiler,
-                               const omc::ObjectManager *Omc) {
-  OmsgArchive Archive;
-  Archive.GrammarImages = grammarImagesOf(Profiler);
-  for (core::Dimension D : Dims)
-    Archive.Streams.push_back(Profiler.grammarFor(D).expandAll());
-  Archive.Aux = auxRowsOf(Omc);
-  return Archive;
-}
-
 std::vector<uint8_t>
 OmsgArchive::serializeProfile(const WhompProfiler &Profiler,
                               const omc::ObjectManager *Omc) {
-  return writeFrame(grammarImagesOf(Profiler), auxRowsOf(Omc));
+  std::vector<std::vector<uint8_t>> Images;
+  for (core::Dimension D :
+       {core::Dimension::Instruction, core::Dimension::Group,
+        core::Dimension::Object, core::Dimension::Offset})
+    Images.push_back(Profiler.grammarFor(D).serialize());
+  std::vector<ObjectAux> Rows;
+  if (Omc) {
+    Rows.reserve(Omc->records().size());
+    for (const auto &Rec : Omc->records())
+      Rows.push_back(ObjectAux{Rec.Group, Rec.Serial, Rec.Size,
+                               Rec.AllocTime, Rec.FreeTime});
+  }
+  return writeFrame(Images, Rows);
 }
 
 std::vector<uint8_t> OmsgArchive::serialize() const {
@@ -83,28 +55,24 @@ OmsgArchive::writeFrame(const std::vector<std::vector<uint8_t>> &Images,
 }
 
 bool OmsgArchive::deserialize(const std::vector<uint8_t> &Bytes,
-                              OmsgArchive &Out, std::string &Err) {
+                              OmsgArchive &Out, std::string &Err,
+                              uint64_t MaxTerminals) {
   Out = OmsgArchive();
   support::ByteCursor C = support::openFrame(Bytes, kMagic, kFormatVersion,
                                              "OMSG archive", Err);
   uint64_t NumGrammars = 0;
-  // Each grammar needs at least its length byte; larger counts cannot be
-  // satisfied and would size the reserve below from hostile input.
+  // Each grammar needs at least its length byte.
   if (!C.readU("grammar count", NumGrammars) ||
       !C.checkCount("grammar count", NumGrammars, 1))
     return false;
-  Out.GrammarImages.reserve(NumGrammars);
-  Out.Streams.reserve(NumGrammars);
   for (uint64_t G = 0; G != NumGrammars; ++G) {
-    std::vector<uint8_t> Image;
-    if (!C.readLenBytes("grammar image", Image))
+    Out.GrammarImages.emplace_back();
+    Out.Grammars.emplace_back();
+    if (!C.readLenBytes("grammar image", Out.GrammarImages.back()) ||
+        !sequitur::GrammarImage::parse(Out.GrammarImages.back(),
+                                       Out.Grammars.back(), Err,
+                                       MaxTerminals))
       return false;
-    std::vector<uint64_t> Stream;
-    if (!sequitur::SequiturGrammar::deserializeAndExpandChecked(
-            Image.data(), Image.size(), Stream, Err))
-      return false;
-    Out.Streams.push_back(std::move(Stream));
-    Out.GrammarImages.push_back(std::move(Image));
   }
   uint64_t NumAux = 0;
   // Each aux row is at least 5 payload bytes.
@@ -137,26 +105,31 @@ bool OmsgArchive::mergeSequential(
   Out = OmsgArchive();
   if (Segments.empty())
     return true;
-  size_t NumStreams = Segments.front()->Streams.size();
+  size_t NumDims = Segments.front()->Grammars.size();
   for (const OmsgArchive *Seg : Segments)
-    if (Seg->Streams.size() != NumStreams) {
+    if (Seg->Grammars.size() != NumDims) {
       Err = "OMSG merge: segment dimension counts differ (" +
-            std::to_string(NumStreams) + " vs " +
-            std::to_string(Seg->Streams.size()) + ")";
+            std::to_string(NumDims) + " vs " +
+            std::to_string(Seg->Grammars.size()) + ")";
       return false;
     }
-  for (size_t D = 0; D != NumStreams; ++D) {
-    // Sequitur is deterministic and streaming: feeding the concatenated
-    // terminal sequence through a fresh grammar yields exactly the
+  Out.GrammarImages.resize(NumDims);
+  Out.Grammars.resize(NumDims);
+  for (size_t D = 0; D != NumDims; ++D) {
+    // Sequitur is deterministic and streaming: feeding the segments'
+    // terminals in order through a fresh grammar yields exactly the
     // grammar the unsplit run would have built.
     sequitur::SequiturGrammar Grammar;
-    std::vector<uint64_t> Stream;
+    uint64_t Terminal = 0;
     for (const OmsgArchive *Seg : Segments)
-      Stream.insert(Stream.end(), Seg->Streams[D].begin(),
-                    Seg->Streams[D].end());
-    Grammar.appendAll(Stream);
-    Out.GrammarImages.push_back(Grammar.serialize());
-    Out.Streams.push_back(std::move(Stream));
+      for (sequitur::GrammarImage::Expander E(Seg->Grammars[D]);
+           E.next(Terminal);)
+        Grammar.append(Terminal);
+    Out.GrammarImages[D] = Grammar.serialize();
+    // The merged run may outgrow the cap meant for untrusted images.
+    if (!sequitur::GrammarImage::parse(Out.GrammarImages[D], Out.Grammars[D],
+                                       Err, /*MaxTerminals=*/~uint64_t{0}))
+      return false;
   }
   // A checkpointed segment's OMC carries every record from the start of
   // the trace, so the last segment's aux table is the full table.

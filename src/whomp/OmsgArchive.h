@@ -19,6 +19,7 @@
 #define ORP_WHOMP_OMSGARCHIVE_H
 
 #include "omc/ObjectManager.h"
+#include "sequitur/GrammarImage.h"
 #include "whomp/Whomp.h"
 
 #include <cstdint>
@@ -42,19 +43,16 @@ struct ObjectAux {
   }
 };
 
-/// A parsed (or freshly built) OMSG archive.
+/// A parsed OMSG archive: the grammar images, their validated views
+/// (sequitur/GrammarImage.h) and the aux table. Nothing here expands a
+/// grammar into its stream; consumers that need the terminals stream
+/// them through GrammarImage::Expander.
 class OmsgArchive {
 public:
-  /// Builds the invariant part from \p Profiler; when \p Omc is given,
-  /// the auxiliary lifetime table is included (base addresses — the
-  /// run-dependent raw data — are deliberately NOT stored). Expands
-  /// every grammar for dimensionStreams(); a caller that only writes
-  /// the artifact should use serializeProfile() instead.
-  static OmsgArchive build(const WhompProfiler &Profiler,
-                           const omc::ObjectManager *Omc = nullptr);
-
-  /// Returns build(Profiler, Omc).serialize() byte for byte, written
-  /// straight from the live grammars: no dimension stream is expanded.
+  /// Writes the archive of \p Profiler straight from its live grammars;
+  /// when \p Omc is given, the auxiliary lifetime table is included
+  /// (base addresses — the run-dependent raw data — are deliberately
+  /// NOT stored).
   static std::vector<uint8_t>
   serializeProfile(const WhompProfiler &Profiler,
                    const omc::ObjectManager *Omc = nullptr);
@@ -70,43 +68,48 @@ public:
 
   /// Parses a serialize()d image. Returns false (with a diagnostic in
   /// \p Err) on any malformed input — bad magic, version, checksum,
-  /// truncation, or grammar images that do not expand cleanly — and
+  /// truncation, or grammar images GrammarImage::parse rejects — and
   /// never reads out of bounds: archive files are untrusted input.
-  [[nodiscard]] static bool deserialize(const std::vector<uint8_t> &Bytes,
-                                        OmsgArchive &Out, std::string &Err);
+  /// \p MaxTerminals caps each grammar's declared expansion; a caller
+  /// reading back an archive it just wrote may lift it.
+  [[nodiscard]] static bool
+  deserialize(const std::vector<uint8_t> &Bytes, OmsgArchive &Out,
+              std::string &Err,
+              uint64_t MaxTerminals =
+                  sequitur::GrammarImage::kDefaultMaxExpandedTerminals);
 
   /// Concatenates the archives of consecutive trace segments into the
-  /// archive of the unsplit run: the expanded dimension streams join in
-  /// order and recompress through fresh grammars (Sequitur is a
+  /// archive of the unsplit run: each dimension's segment expansions
+  /// stream in order through a fresh grammar (Sequitur is a
   /// deterministic streaming algorithm, so this reproduces the unsplit
   /// grammars byte for byte), and the auxiliary table is taken from the
   /// last segment, whose checkpointed OMC saw every object. Fails when
-  /// the segments' stream counts disagree.
+  /// the segments' dimension counts disagree.
   [[nodiscard]] static bool
   mergeSequential(const std::vector<const OmsgArchive *> &Segments,
                   OmsgArchive &Out, std::string &Err);
 
-  /// Expanded dimension streams, in (instr, group, object, offset)
-  /// order — the lossless reconstruction of the tuple stream.
-  const std::vector<std::vector<uint64_t>> &dimensionStreams() const {
-    return Streams;
-  }
-
-  /// Serialized per-dimension grammar images (what Figure 5 sizes).
+  /// Serialized per-dimension grammar images (what Figure 5 sizes), in
+  /// (instr, group, object, offset) order.
   const std::vector<std::vector<uint8_t>> &grammarImages() const {
     return GrammarImages;
+  }
+
+  /// The validated view of each grammar image, in the same order.
+  const std::vector<sequitur::GrammarImage> &grammars() const {
+    return Grammars;
   }
 
   /// Auxiliary object rows (empty when built without an OMC).
   const std::vector<ObjectAux> &objects() const { return Aux; }
 
-  /// Number of recorded accesses (length of every dimension stream).
+  /// Number of recorded accesses (the length every dimension expands to).
   uint64_t accessCount() const {
-    return Streams.empty() ? 0 : Streams.front().size();
+    return Grammars.empty() ? 0 : Grammars.front().expandedLength();
   }
 
   bool operator==(const OmsgArchive &O) const {
-    return Streams == O.Streams && Aux == O.Aux;
+    return GrammarImages == O.GrammarImages && Aux == O.Aux;
   }
 
 private:
@@ -116,10 +119,8 @@ private:
   writeFrame(const std::vector<std::vector<uint8_t>> &Images,
              const std::vector<ObjectAux> &Aux);
 
-  /// Serialized grammar images, one per dimension; kept so that
-  /// serialize() is cheap and deterministic.
   std::vector<std::vector<uint8_t>> GrammarImages;
-  std::vector<std::vector<uint64_t>> Streams;
+  std::vector<sequitur::GrammarImage> Grammars;
   std::vector<ObjectAux> Aux;
 };
 

@@ -2,7 +2,6 @@
 
 #include "whomp/OmsgStats.h"
 
-#include "sequitur/Sequitur.h"
 #include "support/ArtifactFrame.h"
 #include "support/VarInt.h"
 
@@ -14,17 +13,14 @@ OmsgStats OmsgStats::fromArchive(const OmsgArchive &Archive) {
   Stats.Runs = 1;
   Stats.AccessCount = Archive.accessCount();
   Stats.ObjectCount = Archive.objects().size();
-  const auto &Streams = Archive.dimensionStreams();
-  const auto &Images = Archive.grammarImages();
-  for (size_t D = 0; D != Streams.size(); ++D) {
+  const auto &Grammars = Archive.grammars();
+  for (size_t D = 0; D != Grammars.size(); ++D) {
     DimensionStats Dim;
-    Dim.InputLength = Streams[D].size();
-    Dim.GrammarBytes = D < Images.size() ? Images[D].size() : 0;
-    sequitur::SequiturGrammar Grammar;
-    Grammar.appendAll(Streams[D]);
-    Dim.RuleCount = Grammar.numRules();
-    Dim.BodySymbols = Grammar.totalBodySymbols();
-    for (const auto &Rule : Grammar.ruleStats(/*PrefixCap=*/0)) {
+    Dim.InputLength = Grammars[D].expandedLength();
+    Dim.GrammarBytes = Archive.grammarImages()[D].size();
+    Dim.RuleCount = Grammars[D].numRules();
+    Dim.BodySymbols = Grammars[D].totalBodySymbols();
+    for (const auto &Rule : Grammars[D].ruleStats(/*PrefixCap=*/0)) {
       unsigned Bucket = 0;
       for (uint64_t V = Rule.Occurrences; V > 1; V >>= 1)
         ++Bucket;

@@ -61,8 +61,11 @@ public:
   static constexpr char kMagic[4] = {'O', 'M', 'S', 'T'};
   static constexpr uint8_t kFormatVersion = 1;
 
-  /// Digests \p Archive (one run) by rebuilding each dimension grammar
-  /// from its expanded stream and reading off the structural counters.
+  /// Digests \p Archive (one run) by reading each dimension's counters
+  /// off its grammar image: the expanded length, image size, rule and
+  /// body-symbol counts, and the rule-occurrence spectrum. Sequitur is
+  /// deterministic, so these equal the counters of a fresh grammar
+  /// rebuilt from the expanded stream.
   static OmsgStats fromArchive(const OmsgArchive &Archive);
 
   /// Folds \p Other into this digest: every counter and histogram

@@ -75,7 +75,10 @@ void profileWorkload(const std::string &WorkloadName,
     ASSERT_TRUE(Writer->close()) << Writer->error();
   }
   Leap = leap::LeapProfileData::fromProfiler(LeapProf);
-  Omsg = whomp::OmsgArchive::build(Whomp, &Session.omc());
+  std::string Err;
+  ASSERT_TRUE(whomp::OmsgArchive::deserialize(
+      whomp::OmsgArchive::serializeProfile(Whomp, &Session.omc()), Omsg, Err))
+      << Err;
 }
 
 } // namespace

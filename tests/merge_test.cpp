@@ -387,14 +387,21 @@ TEST(HardenedDeserializeTest, OmsgStatsRoundTripAndFold) {
   }
   WhompA.finish();
   WhompB.finish();
-  auto StatsA = whomp::OmsgStats::fromArchive(whomp::OmsgArchive::build(WhompA));
-  auto StatsB = whomp::OmsgStats::fromArchive(whomp::OmsgArchive::build(WhompB));
+  whomp::OmsgArchive ArchiveA, ArchiveB;
+  std::string Err;
+  ASSERT_TRUE(whomp::OmsgArchive::deserialize(
+      whomp::OmsgArchive::serializeProfile(WhompA), ArchiveA, Err))
+      << Err;
+  ASSERT_TRUE(whomp::OmsgArchive::deserialize(
+      whomp::OmsgArchive::serializeProfile(WhompB), ArchiveB, Err))
+      << Err;
+  auto StatsA = whomp::OmsgStats::fromArchive(ArchiveA);
+  auto StatsB = whomp::OmsgStats::fromArchive(ArchiveB);
   EXPECT_EQ(StatsA.runs(), 1u);
   EXPECT_EQ(StatsA.accessCount(), 64u);
   ASSERT_EQ(StatsA.dimensions().size(), 4u);
   EXPECT_GT(StatsA.dimensions()[3].RuleCount, 0u);
 
-  std::string Err;
   whomp::OmsgStats AB = StatsA, BA = StatsB;
   ASSERT_TRUE(AB.merge(StatsB, Err)) << Err;
   ASSERT_TRUE(BA.merge(StatsA, Err)) << Err;

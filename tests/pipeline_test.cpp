@@ -375,7 +375,7 @@ void recordWithProfilers(const std::string &WorkloadName,
   W->run(Session.memory(), Session.registry(), Config);
   Session.finish();
   ASSERT_TRUE(Writer.close()) << Writer.error();
-  LiveOmsg = whomp::OmsgArchive::build(Whomp, &Session.omc()).serialize();
+  LiveOmsg = whomp::OmsgArchive::serializeProfile(Whomp, &Session.omc());
   LiveLeap = leap::LeapProfileData::fromProfiler(Leap).serialize();
 }
 
@@ -394,7 +394,7 @@ void replayAt(const std::string &Path, unsigned Threads,
   Session->addConsumer(&Leap);
   ASSERT_TRUE(Replayer.replayInto(*Session)) << Replayer.error();
   EventsReplayed = Replayer.eventsReplayed();
-  Omsg = whomp::OmsgArchive::build(Whomp, &Session->omc()).serialize();
+  Omsg = whomp::OmsgArchive::serializeProfile(Whomp, &Session->omc());
   LeapBytes = leap::LeapProfileData::fromProfiler(Leap).serialize();
 }
 
@@ -505,7 +505,7 @@ TEST(PipelineDeterminismTest, LiveProfilersMatchAcrossThreadCounts) {
     workloads::WorkloadConfig Config;
     W->run(Session.memory(), Session.registry(), Config);
     Session.finish();
-    Omsg = whomp::OmsgArchive::build(Whomp, &Session.omc()).serialize();
+    Omsg = whomp::OmsgArchive::serializeProfile(Whomp, &Session.omc());
     LeapBytes = leap::LeapProfileData::fromProfiler(Leap).serialize();
   };
   std::vector<uint8_t> Omsg1, Leap1, Omsg4, Leap4;

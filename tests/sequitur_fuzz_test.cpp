@@ -8,29 +8,63 @@
 // Deterministic fuzz suite for the arena-backed SequiturGrammar. Every
 // stream family in tests/SequiturStreams.h is driven through the
 // grammar, which must (a) keep both Sequitur invariants, (b) expand back
-// to the exact input, and (c) serialize to the byte-identical image the
-// pre-arena implementation produced (pinned as CRC-32 goldens). (c) is
+// to the exact input, live and through its image, (c) serialize to the
+// byte-identical image the pre-arena implementation produced (pinned as
+// CRC-32 goldens), and (d) report the pinned rule statistics. (c) is
 // the contract that makes the arena/table rewrite a pure optimization:
 // Figure 5's grammar sizes cannot move.
 //
 //===----------------------------------------------------------------------===//
 
 #include "SequiturStreams.h"
+#include "SequiturTestUtil.h"
+#include "sequitur/GrammarImage.h"
 #include "sequitur/Sequitur.h"
 #include "support/Checksum.h"
 #include "support/Random.h"
+#include "support/VarInt.h"
 
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 
 using namespace orp;
 using namespace orp::sequitur;
+using namespace orp::seqtest;
 using namespace orp::seqstreams;
 
 namespace {
+
+/// CRC-32 over every ruleStats() field (ULEB128, rule by rule).
+uint32_t statsDigest(const std::vector<RuleStats> &Stats) {
+  std::vector<uint8_t> Bytes;
+  for (const RuleStats &RS : Stats) {
+    for (uint64_t V : {RS.Id, uint64_t{RS.BodyLength}, RS.ExpandedLength,
+                       RS.Occurrences, uint64_t{RS.Prefix.size()}})
+      encodeULEB128(V, Bytes);
+    for (uint64_t V : RS.Prefix)
+      encodeULEB128(V, Bytes);
+  }
+  return crc32(Bytes);
+}
+
+/// statsDigest(ruleStats()) of each golden stream, recorded from the
+/// live-grammar ruleStats() that the image view replaced.
+const std::pair<const char *, uint32_t> kStatsDigests[] = {
+    {"periodic_p1", 0x2aa8a4d1u},    {"periodic_p2", 0x9457285bu},
+    {"periodic_p3", 0xf7c3ef03u},    {"periodic_p7", 0xc6ffa63au},
+    {"periodic_p64", 0xaf922eacu},   {"periodic_p1024", 0x2c92865eu},
+    {"runs_a2", 0x4662a1adu},        {"runs_a5", 0x2ef0e51au},
+    {"random_a2", 0x1bdbaac5u},      {"random_a16", 0xc2b53e72u},
+    {"random_a256", 0x2e1b1624u},    {"random_wide", 0x0f789fb5u},
+    {"phrases_a4", 0x8e8dbc75u},     {"phrases_a64", 0xc28290b2u},
+    {"nested_a3", 0x67fa30e7u},      {"nested_a300", 0x564f2a71u},
+    {"sawtooth_a8", 0x7005d411u},    {"sawtooth_a97", 0xfb606945u},
+};
 
 TEST(SequiturFuzzTest, GoldenSuiteByteIdentical) {
   size_t Count = 0;
@@ -43,16 +77,20 @@ TEST(SequiturFuzzTest, GoldenSuiteByteIdentical) {
 
     SequiturGrammar G;
     G.appendAll(Input);
-    EXPECT_TRUE(G.checkInvariants()) << Case.Name;
+    EXPECT_TRUE(healthy(G)) << Case.Name;
     EXPECT_EQ(G.inputLength(), Input.size()) << Case.Name;
     EXPECT_EQ(G.expandAll(), Input) << Case.Name;
 
     std::vector<uint8_t> Image = G.serialize();
     EXPECT_EQ(crc32(Image), Case.GoldenCrc) << Case.Name;
     EXPECT_EQ(Image.size(), G.serializedSizeBytes()) << Case.Name;
-    EXPECT_EQ(SequiturGrammar::deserializeAndExpand(Image), Input)
+    EXPECT_EQ(expandImage(Image), Input) << Case.Name;
+    ASSERT_LT(C, std::size(kStatsDigests));
+    EXPECT_STREQ(kStatsDigests[C].first, Case.Name);
+    EXPECT_EQ(statsDigest(G.ruleStats()), kStatsDigests[C].second)
         << Case.Name;
   }
+  EXPECT_EQ(Count, std::size(kStatsDigests));
 }
 
 TEST(SequiturFuzzTest, InvariantsHoldMidStream) {
@@ -67,10 +105,10 @@ TEST(SequiturFuzzTest, InvariantsHoldMidStream) {
     for (size_t I = 0; I != Input.size(); ++I) {
       G.append(Input[I]);
       if ((I & (I + 1)) == 0) { // Check at lengths 2^k - 1.
-        ASSERT_TRUE(G.checkInvariants()) << Case.Name << " @ " << I;
+        ASSERT_TRUE(healthy(G)) << Case.Name << " @ " << I;
       }
     }
-    ASSERT_TRUE(G.checkInvariants()) << Case.Name;
+    ASSERT_TRUE(healthy(G)) << Case.Name;
   }
 }
 
@@ -87,9 +125,9 @@ TEST(SequiturFuzzTest, RandomSeedsRoundTrip) {
     std::vector<uint64_t> Input = makeStream(Case);
     SequiturGrammar G;
     G.appendAll(Input);
-    ASSERT_TRUE(G.checkInvariants()) << "alphabet " << Case.Alphabet;
+    ASSERT_TRUE(healthy(G)) << "alphabet " << Case.Alphabet;
     ASSERT_EQ(G.expandAll(), Input) << "alphabet " << Case.Alphabet;
-    ASSERT_EQ(SequiturGrammar::deserializeAndExpand(G.serialize()), Input);
+    ASSERT_EQ(expandImage(G.serialize()), Input);
   }
 }
 
@@ -128,7 +166,7 @@ TEST(SequiturFuzzTest, SparseRuleIdsNumberDensely) {
   // hash-map numbering the per-id vector replaced.
   SequiturGrammar Small;
   Small.appendAll(churnStream(5, 4));
-  ASSERT_TRUE(Small.checkInvariants());
+  ASSERT_TRUE(healthy(Small));
   EXPECT_EQ(Small.numRules(), 7u);
   EXPECT_EQ(Small.rulesCreated(), 34u);
   EXPECT_EQ(Small.dump(), "R0 -> R1 R2 R2 R3 R3 1002 R4 R4 R5 R5 1004 R1 R6 R6\n"
@@ -143,14 +181,14 @@ TEST(SequiturFuzzTest, SparseRuleIdsNumberDensely) {
   std::vector<uint64_t> Input = churnStream(48, 24);
   SequiturGrammar Large;
   Large.appendAll(Input);
-  ASSERT_TRUE(Large.checkInvariants());
+  ASSERT_TRUE(healthy(Large));
   EXPECT_EQ(Large.numRules(), 50u);
   EXPECT_EQ(Large.rulesCreated(), 1249u);
   std::vector<uint8_t> Image = Large.serialize();
   EXPECT_EQ(Image.size(), 2537u);
   EXPECT_EQ(crc32(Image), 0xe5dcc714u);
-  EXPECT_EQ(SequiturGrammar::deserializeAndExpand(Image), Input);
-  std::vector<SequiturGrammar::RuleStats> Stats = Large.ruleStats();
+  EXPECT_EQ(expandImage(Image), Input);
+  std::vector<RuleStats> Stats = Large.ruleStats();
   ASSERT_EQ(Stats.size(), Large.numRules());
   for (size_t I = 0; I != Stats.size(); ++I)
     EXPECT_EQ(Stats[I].Id, I);
@@ -165,7 +203,7 @@ TEST(SequiturFuzzTest, ArenaReusesAcrossStreams) {
     SequiturGrammar G;
     for (uint64_t I = 0; I != 50000; ++I)
       G.append(I % Period);
-    EXPECT_TRUE(G.checkInvariants()) << Period;
+    EXPECT_TRUE(healthy(G)) << Period;
     std::vector<uint64_t> Out = G.expandAll();
     ASSERT_EQ(Out.size(), 50000u);
     for (uint64_t I = 0; I != Out.size(); ++I)

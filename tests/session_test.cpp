@@ -536,11 +536,33 @@ TEST(SessionManagerTest, CorruptBlockFailsOnlyItsOwnSession) {
 
 namespace {
 
-/// \p Session's OMSG archive by way of the expanded in-memory archive,
-/// the reference finalize()'s direct write must match byte for byte.
-std::vector<uint8_t> omsgViaBuild(session::ProfileSession &Session) {
-  return whomp::OmsgArchive::build(*Session.whomp(), &Session.core().omc())
-      .serialize();
+/// Checks that \p Bytes is the archive of \p Whomp's grammar images
+/// and \p Omc's object rows (none without an OMC), and that the parsed
+/// archive writes the same bytes back.
+void expectArchiveOf(const std::vector<uint8_t> &Bytes,
+                     const whomp::WhompProfiler &Whomp,
+                     const omc::ObjectManager *Omc) {
+  whomp::OmsgArchive Archive;
+  std::string Err;
+  ASSERT_TRUE(whomp::OmsgArchive::deserialize(Bytes, Archive, Err)) << Err;
+  const core::Dimension Dims[] = {
+      core::Dimension::Instruction, core::Dimension::Group,
+      core::Dimension::Object, core::Dimension::Offset};
+  ASSERT_EQ(Archive.grammarImages().size(), 4u);
+  for (size_t D = 0; D != 4; ++D)
+    EXPECT_EQ(Archive.grammarImages()[D], Whomp.grammarFor(Dims[D]).serialize())
+        << "dimension " << D;
+  EXPECT_EQ(Archive.accessCount(), Whomp.tuplesSeen());
+  size_t Rows = Omc ? Omc->records().size() : 0;
+  ASSERT_EQ(Archive.objects().size(), Rows);
+  for (size_t I = 0; I != Rows; ++I) {
+    const omc::ObjectRecord &Rec = Omc->records()[I];
+    EXPECT_TRUE(Archive.objects()[I] ==
+                (whomp::ObjectAux{Rec.Group, Rec.Serial, Rec.Size,
+                                  Rec.AllocTime, Rec.FreeTime}))
+        << "object row " << I;
+  }
+  EXPECT_EQ(Archive.serialize(), Bytes);
 }
 
 using DirectFinalizeParam = std::tuple<const char *, unsigned>;
@@ -550,7 +572,7 @@ class DirectFinalizeTest
 
 } // namespace
 
-TEST_P(DirectFinalizeTest, BytesEqualBuildThenSerialize) {
+TEST_P(DirectFinalizeTest, BytesHoldGrammarImagesAndObjectRows) {
   auto [Workload, Threads] = GetParam();
   std::string Path = tempPath(std::string("direct_") + Workload + "_" +
                               std::to_string(Threads) + ".orpt");
@@ -563,10 +585,10 @@ TEST_P(DirectFinalizeTest, BytesEqualBuildThenSerialize) {
   ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
   SessionArtifacts A = Session.finalize();
   ASSERT_FALSE(A.Failed) << A.Error;
-  EXPECT_EQ(A.Omsg, omsgViaBuild(Session));
+  expectArchiveOf(A.Omsg, *Session.whomp(), &Session.core().omc());
   // Without an object manager the archive carries no object table.
-  EXPECT_EQ(whomp::OmsgArchive::serializeProfile(*Session.whomp()),
-            whomp::OmsgArchive::build(*Session.whomp()).serialize());
+  expectArchiveOf(whomp::OmsgArchive::serializeProfile(*Session.whomp()),
+                  *Session.whomp(), nullptr);
   std::remove(Path.c_str());
 }
 
@@ -583,7 +605,7 @@ INSTANTIATE_TEST_SUITE_P(
       return Name + "_t" + std::to_string(std::get<1>(Info.param));
     });
 
-TEST(SessionManagerTest, CloseBytesEqualBuildThenSerialize) {
+TEST(SessionManagerTest, CloseBytesHoldGrammarImagesAndObjectRows) {
   ScopedRole Role(session::SessionControlRole);
   std::string Path = tempPath("direct_close.orpt");
   recordTrace("175.vpr-a", Path);
@@ -591,8 +613,7 @@ TEST(SessionManagerTest, CloseBytesEqualBuildThenSerialize) {
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
   session::ProfileSession Serial("serial", configFor(Reader));
   ASSERT_TRUE(Serial.replayFrom(Reader)) << Serial.error();
-  Serial.finalize();
-  std::vector<uint8_t> Want = omsgViaBuild(Serial);
+  std::vector<uint8_t> Want = Serial.finalize().Omsg;
 
   session::ManagerConfig Config;
   Config.Threads = 2;
@@ -603,6 +624,7 @@ TEST(SessionManagerTest, CloseBytesEqualBuildThenSerialize) {
   SessionArtifacts Art = Mgr.close(Id);
   ASSERT_FALSE(Art.Failed) << Art.Error;
   EXPECT_EQ(Art.Omsg, Want);
+  expectArchiveOf(Art.Omsg, *Serial.whomp(), &Serial.core().omc());
   std::remove(Path.c_str());
 }
 

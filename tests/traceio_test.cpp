@@ -92,7 +92,7 @@ TEST(TraceIoTest, GzipReplayProducesByteIdenticalOmsg) {
   whomp::WhompProfiler Live;
   auto LiveSession = recordRun("164.gzip-a", Path, &Live);
   auto LiveBytes =
-      whomp::OmsgArchive::build(Live, &LiveSession->omc()).serialize();
+      whomp::OmsgArchive::serializeProfile(Live, &LiveSession->omc());
 
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
@@ -103,7 +103,7 @@ TEST(TraceIoTest, GzipReplayProducesByteIdenticalOmsg) {
   ASSERT_TRUE(Replayer.replayInto(*Replayed)) << Replayer.error();
 
   auto ReplayBytes =
-      whomp::OmsgArchive::build(Offline, &Replayed->omc()).serialize();
+      whomp::OmsgArchive::serializeProfile(Offline, &Replayed->omc());
   EXPECT_EQ(Live.tuplesSeen(), Offline.tuplesSeen());
   EXPECT_EQ(LiveBytes, ReplayBytes);
   std::remove(Path.c_str());
@@ -638,7 +638,7 @@ ReplayArtifacts replayArtifacts(const std::string &Path, unsigned Threads) {
   EXPECT_TRUE(Replayer.replayInto(*Session)) << Replayer.error();
   ReplayArtifacts A;
   A.Events = Replayer.eventsReplayed();
-  A.Omsg = whomp::OmsgArchive::build(Whomp, &Session->omc()).serialize();
+  A.Omsg = whomp::OmsgArchive::serializeProfile(Whomp, &Session->omc());
   A.Leap = leap::LeapProfileData::fromProfiler(Leap).serialize();
   return A;
 }
@@ -738,7 +738,7 @@ TEST(OmsgArchiveFormatTest, HeaderIsExplicitLittleEndian) {
   W->run(Session.memory(), Session.registry(), Config);
   Session.finish();
 
-  auto Bytes = whomp::OmsgArchive::build(Whomp, &Session.omc()).serialize();
+  auto Bytes = whomp::OmsgArchive::serializeProfile(Whomp, &Session.omc());
   ASSERT_GT(Bytes.size(), 9u);
   EXPECT_EQ(Bytes[0], 'O');
   EXPECT_EQ(Bytes[1], 'M');
@@ -765,7 +765,7 @@ TEST(OmsgArchiveFormatTest, CorruptedArchiveIsRejected) {
   workloads::WorkloadConfig Config;
   W->run(Session.memory(), Session.registry(), Config);
   Session.finish();
-  auto Bytes = whomp::OmsgArchive::build(Whomp).serialize();
+  auto Bytes = whomp::OmsgArchive::serializeProfile(Whomp);
 
   // Archive files are untrusted input: corruption must surface as a
   // structured error, never a crash.

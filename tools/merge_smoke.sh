@@ -11,7 +11,8 @@
 #   4. `orp-trace merge --sequential` the per-segment artifacts,
 #   5. byte-compare (sha256) every merged artifact against the unsplit
 #      one — DESIGN.md section 17's ground truth,
-#   6. check `orp-trace diff` exit codes (0 identical, 1 different),
+#   6. check `orp-trace diff` exit codes (0 identical, 1 different,
+#      2 unreadable) on LEAP and OMSG artifacts,
 #      the union merge path, and that corrupt/truncated artifacts are
 #      rejected with a structured error.
 #
@@ -78,6 +79,25 @@ echo "== diff exit codes =="
 if "$ORP_TRACE" diff "$WORK/seg1.leap" "$WORK/unsplit.leap"; then
   fail "diff of different profiles must exit nonzero"
 fi
+# OMSA diff past the byte-equal early exit: a merged archive equals the
+# unsplit one, a segment's streams differ, a corrupt archive is
+# unreadable.
+"$ORP_TRACE" diff "$WORK/merged.omsa" "$WORK/unsplit.omsa" ||
+  fail "diff of identical OMSG archives must exit 0"
+set +e
+"$ORP_TRACE" diff "$WORK/seg1.omsa" "$WORK/unsplit.omsa" > "$WORK/diff.out"
+STATUS=$?
+set -e
+[ "$STATUS" -eq 1 ] || fail "diff of different OMSG archives exited $STATUS"
+grep -q "streams differ" "$WORK/diff.out" ||
+  fail "diff of different OMSG archives did not report differing streams"
+cp "$WORK/unsplit.omsa" "$WORK/flip.omsa"
+printf '\xff' | dd of="$WORK/flip.omsa" bs=1 seek=40 conv=notrunc 2>/dev/null
+set +e
+"$ORP_TRACE" diff "$WORK/flip.omsa" "$WORK/unsplit.omsa" 2>/dev/null
+STATUS=$?
+set -e
+[ "$STATUS" -eq 2 ] || fail "diff of a corrupt OMSG archive exited $STATUS"
 
 echo "== union merge =="
 # Union of a profile with itself doubles the counters but stays valid,

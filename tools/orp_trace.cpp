@@ -374,6 +374,18 @@ int cmdRecord(int Argc, char **Argv) {
   return 0;
 }
 
+/// Parses the archive this process's finalize() just wrote. Its grammars
+/// may expand past the cap meant for untrusted archives.
+bool parseOwnArchive(const std::vector<uint8_t> &Bytes,
+                     whomp::OmsgArchive &Out) {
+  std::string Err;
+  if (whomp::OmsgArchive::deserialize(Bytes, Out, Err,
+                                      /*MaxTerminals=*/~uint64_t{0}))
+    return true;
+  logMessage(LogLevel::Error, "orp-trace: %s", Err.c_str());
+  return false;
+}
+
 int cmdReplay(int Argc, char **Argv) {
   std::string Path, Profiler = "whomp", DumpOmsg, DumpLeap;
   std::string ResumeFrom, CheckpointOut;
@@ -531,12 +543,18 @@ int cmdReplay(int Argc, char **Argv) {
               static_cast<unsigned long long>(Reader.info().Seed));
 
   if (Profiler == "whomp") {
-    whomp::WhompProfiler &Whomp = *Session.whomp();
-    whomp::OmsgSizes S = Whomp.sizes();
+    // The grammar image sizes, read from the archive finalize() wrote.
+    whomp::OmsgArchive Archive;
+    if (!parseOwnArchive(Artifacts.Omsg, Archive))
+      return 1;
+    const auto &Images = Archive.grammarImages();
     std::printf("WHOMP OMSG: %zu tuples, %zu bytes (instr %zu, group %zu, "
                 "object %zu, offset %zu)\n",
-                static_cast<size_t>(Whomp.tuplesSeen()), S.total(), S.Instr,
-                S.Group, S.Object, S.Offset);
+                static_cast<size_t>(Session.whomp()->tuplesSeen()),
+                Images[0].size() + Images[1].size() + Images[2].size() +
+                    Images[3].size(),
+                Images[0].size(), Images[1].size(), Images[2].size(),
+                Images[3].size());
     if (!DumpOmsg.empty()) {
       if (!writeArtifactFile(kTool, DumpOmsg, Artifacts.Omsg))
         return 1;
@@ -661,7 +679,7 @@ int cmdStats(int Argc, char **Argv) {
     logMessage(LogLevel::Error, "orp-trace: %s", Session.error().c_str());
     return 1;
   }
-  Session.finalize();
+  session::SessionArtifacts Artifacts = Session.finalize();
 
   // Run the hot/cold classifier over the finished profiles and publish
   // the advisor.* gauges so the snapshot shows advice counts alongside
@@ -670,11 +688,11 @@ int cmdStats(int Argc, char **Argv) {
   advisor::AdvisorReport AdviceReport;
   advisor::AdvisorTelemetry AdviceBridge;
   if (Session.leap() && Session.whomp()) {
-    advisor::HotColdClassifier Classifier;
-    AdviceReport = Classifier.classify(
-        leap::LeapProfileData::fromProfiler(*Session.leap()),
-        whomp::OmsgArchive::build(*Session.whomp(),
-                                  &Session.core().omc()));
+    whomp::OmsgArchive Omsg;
+    if (!parseOwnArchive(Artifacts.Omsg, Omsg))
+      return 1;
+    AdviceReport = advisor::HotColdClassifier().classify(
+        leap::LeapProfileData::fromProfiler(*Session.leap()), Omsg);
     AdviceBridge.attachReport(&AdviceReport);
   }
 
@@ -916,6 +934,19 @@ int cmdSubmit(int Argc, char **Argv) {
   return 0;
 }
 
+/// Parses artifact \p Bytes, read from \p Path, into \p Out; on failure
+/// logs "orp-trace VERB: PATH: reason" and returns false.
+template <typename Artifact>
+bool parseArtifact(const char *Verb, const std::vector<uint8_t> &Bytes,
+                   const std::string &Path, Artifact &Out) {
+  std::string Err;
+  if (Artifact::deserialize(Bytes, Out, Err))
+    return true;
+  logMessage(LogLevel::Error, "orp-trace %s: %s: %s", Verb, Path.c_str(),
+             Err.c_str());
+  return false;
+}
+
 int cmdMerge(int Argc, char **Argv) {
   std::vector<std::string> Inputs;
   std::string OutPath;
@@ -970,15 +1001,13 @@ int cmdMerge(int Argc, char **Argv) {
   const char *OutKind = artifactKindName(Kind);
   if (Kind == ArtifactKind::Leap) {
     leap::LeapProfileData Merged;
-    if (!leap::LeapProfileData::deserialize(Images[0], Merged, Err)) {
-      logMessage(LogLevel::Error, "orp-trace merge: %s: %s",
-                 Inputs[0].c_str(), Err.c_str());
+    if (!parseArtifact("merge", Images[0], Inputs[0], Merged))
       return 1;
-    }
     for (size_t I = 1; I != Inputs.size(); ++I) {
       leap::LeapProfileData Next;
-      if (!leap::LeapProfileData::deserialize(Images[I], Next, Err) ||
-          !(Sequential ? Merged.mergeSequential(Next, Err)
+      if (!parseArtifact("merge", Images[I], Inputs[I], Next))
+        return 1;
+      if (!(Sequential ? Merged.mergeSequential(Next, Err)
                        : Merged.mergeUnion(Next, Err))) {
         logMessage(LogLevel::Error, "orp-trace merge: %s: %s",
                    Inputs[I].c_str(), Err.c_str());
@@ -990,11 +1019,8 @@ int cmdMerge(int Argc, char **Argv) {
     std::vector<whomp::OmsgArchive> Archives(Inputs.size());
     std::vector<const whomp::OmsgArchive *> Segments;
     for (size_t I = 0; I != Inputs.size(); ++I) {
-      if (!whomp::OmsgArchive::deserialize(Images[I], Archives[I], Err)) {
-        logMessage(LogLevel::Error, "orp-trace merge: %s: %s",
-                   Inputs[I].c_str(), Err.c_str());
+      if (!parseArtifact("merge", Images[I], Inputs[I], Archives[I]))
         return 1;
-      }
       Segments.push_back(&Archives[I]);
     }
     whomp::OmsgArchive Merged;
@@ -1012,15 +1038,10 @@ int cmdMerge(int Argc, char **Argv) {
       whomp::OmsgStats Stats;
       if (Kind == ArtifactKind::Omsa) {
         whomp::OmsgArchive Archive;
-        if (!whomp::OmsgArchive::deserialize(Images[I], Archive, Err)) {
-          logMessage(LogLevel::Error, "orp-trace merge: %s: %s",
-                     Inputs[I].c_str(), Err.c_str());
+        if (!parseArtifact("merge", Images[I], Inputs[I], Archive))
           return 1;
-        }
         Stats = whomp::OmsgStats::fromArchive(Archive);
-      } else if (!whomp::OmsgStats::deserialize(Images[I], Stats, Err)) {
-        logMessage(LogLevel::Error, "orp-trace merge: %s: %s",
-                   Inputs[I].c_str(), Err.c_str());
+      } else if (!parseArtifact("merge", Images[I], Inputs[I], Stats)) {
         return 1;
       }
       if (!Merged.merge(Stats, Err)) {
@@ -1052,6 +1073,20 @@ void diffCounter(const char *What, uint64_t A, uint64_t B, int &Diffs) {
               static_cast<unsigned long long>(B));
 }
 
+/// True when \p A and \p B expand to the same terminals; streams both,
+/// so memory stays at the grammars' nesting depth.
+bool sameExpansion(const sequitur::GrammarImage &A,
+                   const sequitur::GrammarImage &B) {
+  if (A.expandedLength() != B.expandedLength())
+    return false;
+  sequitur::GrammarImage::Expander EA(A), EB(B);
+  uint64_t VA = 0, VB = 0;
+  while (EA.next(VA) && EB.next(VB))
+    if (VA != VB)
+      return false;
+  return true;
+}
+
 int cmdDiff(const char *PathA, const char *PathB) {
   std::vector<uint8_t> BytesA, BytesB;
   if (!readArtifactFile(kTool, PathA, BytesA) ||
@@ -1071,20 +1106,12 @@ int cmdDiff(const char *PathA, const char *PathB) {
                : 1;
   }
 
-  std::string Err;
   int Diffs = 0;
   if (KindA == ArtifactKind::Leap) {
     leap::LeapProfileData A, B;
-    if (!leap::LeapProfileData::deserialize(BytesA, A, Err)) {
-      logMessage(LogLevel::Error, "orp-trace diff: %s: %s", PathA,
-                 Err.c_str());
+    if (!parseArtifact("diff", BytesA, PathA, A) ||
+        !parseArtifact("diff", BytesB, PathB, B))
       return 2;
-    }
-    if (!leap::LeapProfileData::deserialize(BytesB, B, Err)) {
-      logMessage(LogLevel::Error, "orp-trace diff: %s: %s", PathB,
-                 Err.c_str());
-      return 2;
-    }
     diffCounter("descriptor cap", A.maxLmads(), B.maxLmads(), Diffs);
     diffCounter("substreams", A.substreams().size(), B.substreams().size(),
                 Diffs);
@@ -1117,25 +1144,18 @@ int cmdDiff(const char *PathA, const char *PathB) {
                 static_cast<unsigned long long>(PointsB));
   } else if (KindA == ArtifactKind::Omsa) {
     whomp::OmsgArchive A, B;
-    if (!whomp::OmsgArchive::deserialize(BytesA, A, Err)) {
-      logMessage(LogLevel::Error, "orp-trace diff: %s: %s", PathA,
-                 Err.c_str());
+    if (!parseArtifact("diff", BytesA, PathA, A) ||
+        !parseArtifact("diff", BytesB, PathB, B))
       return 2;
-    }
-    if (!whomp::OmsgArchive::deserialize(BytesB, B, Err)) {
-      logMessage(LogLevel::Error, "orp-trace diff: %s: %s", PathB,
-                 Err.c_str());
-      return 2;
-    }
-    diffCounter("dimension streams", A.dimensionStreams().size(),
-                B.dimensionStreams().size(), Diffs);
+    diffCounter("dimension streams", A.grammars().size(),
+                B.grammars().size(), Diffs);
     diffCounter("accesses", A.accessCount(), B.accessCount(), Diffs);
     diffCounter("aux objects", A.objects().size(), B.objects().size(),
                 Diffs);
-    size_t Dims = std::min(A.dimensionStreams().size(),
-                           B.dimensionStreams().size());
+    size_t Dims = std::min(A.grammars().size(), B.grammars().size());
     for (size_t D = 0; D != Dims; ++D)
-      if (A.dimensionStreams()[D] != B.dimensionStreams()[D]) {
+      if (A.grammarImages()[D] != B.grammarImages()[D] &&
+          !sameExpansion(A.grammars()[D], B.grammars()[D])) {
         ++Diffs;
         std::printf("  dimension %zu streams differ\n", D);
       }
@@ -1147,16 +1167,9 @@ int cmdDiff(const char *PathA, const char *PathB) {
     std::printf("OMSG archives differ in %d place(s)\n", Diffs);
   } else {
     whomp::OmsgStats A, B;
-    if (!whomp::OmsgStats::deserialize(BytesA, A, Err)) {
-      logMessage(LogLevel::Error, "orp-trace diff: %s: %s", PathA,
-                 Err.c_str());
+    if (!parseArtifact("diff", BytesA, PathA, A) ||
+        !parseArtifact("diff", BytesB, PathB, B))
       return 2;
-    }
-    if (!whomp::OmsgStats::deserialize(BytesB, B, Err)) {
-      logMessage(LogLevel::Error, "orp-trace diff: %s: %s", PathB,
-                 Err.c_str());
-      return 2;
-    }
     diffCounter("runs", A.runs(), B.runs(), Diffs);
     diffCounter("accesses", A.accessCount(), B.accessCount(), Diffs);
     diffCounter("objects", A.objectCount(), B.objectCount(), Diffs);
