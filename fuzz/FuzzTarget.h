@@ -32,6 +32,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size);
@@ -72,6 +75,20 @@ inline std::vector<uint8_t> frameArtifact(const char (&Magic)[4],
   Bytes.insert(Bytes.end(), Payload, Payload + Size);
   support::sealFrame(Bytes);
   return Bytes;
+}
+
+/// Reads the checked-in trace \p Name from tests/fixtures (seed corpora
+/// that need bytes no current writer produces, such as .orpt v1).
+/// Aborts when the file is missing, so a seed never vanishes silently.
+inline std::vector<uint8_t> readFixture(const char *Name) {
+  std::string Path = std::string(ORP_FIXTURE_DIR) + "/" + Name;
+  std::ifstream In(Path, std::ios::binary);
+  if (!In) {
+    std::fprintf(stderr, "fuzz seed: cannot read fixture %s\n", Path.c_str());
+    std::abort();
+  }
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(In),
+                              std::istreambuf_iterator<char>());
 }
 
 } // namespace fuzz

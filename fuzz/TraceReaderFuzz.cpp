@@ -3,7 +3,8 @@
 // Property: TraceReader must reject or cleanly parse ANY byte string —
 // no crash, no sanitizer report, no unbounded work. A parse that
 // succeeds must also decode every event without tripping the hardened
-// varint layer. Seeds are real .orpt images produced by TraceWriter so
+// varint layer. Seeds are real .orpt images — a v2 trace recorded by
+// TraceWriter and its checked-in v1 counterpart (tests/fixtures) — so
 // mutations explore the format's interior, not just the header checks.
 //
 //===----------------------------------------------------------------------===//
@@ -38,9 +39,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   return 0;
 }
 
-/// Records a small synthetic probe stream through the real writer in
-/// the given .orpt format version and returns the file's bytes.
-static std::vector<uint8_t> recordSeedTrace(uint8_t FormatVersion) {
+/// Records a small synthetic probe stream through the real writer and
+/// returns the file's bytes. tests/fixtures/fuzz_seed_v1.orpt holds the
+/// same stream in format v1.
+static std::vector<uint8_t> recordSeedTrace() {
   std::string Path =
       (std::filesystem::temp_directory_path() / "orp-tracereader-fuzz-seed.orpt")
           .string();
@@ -51,8 +53,7 @@ static std::vector<uint8_t> recordSeedTrace(uint8_t FormatVersion) {
   trace::AllocSiteId Site = Registry.addAllocSite("fuzz: alloc", "struct fz");
   {
     traceio::TraceWriter Writer(Path, Registry, memsim::AllocPolicy::FirstFit,
-                                /*Seed=*/42, /*BlockBytes=*/128,
-                                FormatVersion);
+                                /*Seed=*/42, /*BlockBytes=*/128);
     uint64_t Time = 0;
     Writer.onAlloc({Site, /*Addr=*/0x1000, /*Size=*/64, ++Time,
                     /*IsStatic=*/false});
@@ -75,8 +76,8 @@ std::vector<std::vector<uint8_t>> orpFuzzSeedInputs() {
   std::vector<std::vector<uint8_t>> Seeds;
   // One seed per on-disk encoding, so mutations explore both the v1
   // interleaved record interior and the v2 column directory.
-  Seeds.push_back(recordSeedTrace(traceio::kFormatVersionV1));
-  Seeds.push_back(recordSeedTrace(traceio::kFormatVersionV2));
+  Seeds.push_back(fuzz::readFixture("fuzz_seed_v1.orpt"));
+  Seeds.push_back(recordSeedTrace());
   // Degenerate seeds: empty input, bare magic, magic + junk version.
   Seeds.push_back({});
   Seeds.push_back({'O', 'R', 'P', 'T'});
