@@ -204,21 +204,14 @@ void BM_BlockDecode(benchmark::State &State) {
   traceio::DecodedBlock Block;
   uint64_t Sink = 0;
   for (auto _ : State) {
-    bool Ok;
-    if (Version == 1) {
-      Ok = traceio::decodeEventBlock(
-          Payload.data(), Payload.size(), NumEvents,
-          [&](const traceio::TraceEvent &E) { Sink += E.Addr; }, Err);
-    } else {
-      Ok = traceio::decodeEventBlockV2(Payload.data(), Payload.size(),
-                                       NumEvents, Block, Err);
-      for (const trace::AccessEvent &E : Block.Accesses)
-        Sink += E.Addr;
-    }
-    if (!Ok) {
+    if (!traceio::decodeEventBlock(static_cast<uint8_t>(Version),
+                                   Payload.data(), Payload.size(), NumEvents,
+                                   Block, Err)) {
       State.SkipWithError(Err.c_str());
       return;
     }
+    for (const trace::AccessEvent &E : Block.Accesses)
+      Sink += E.Addr;
     benchmark::DoNotOptimize(Sink);
   }
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *

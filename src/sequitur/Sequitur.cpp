@@ -223,6 +223,7 @@ void SequiturGrammar::append(uint64_t Value) {
   // No references into the grammar are held across appends, so nodes
   // freed during the previous append are now safe to recycle.
   reclaimPending();
+  TerminalBits |= Value;
   Symbol *S = newTerminal(Value);
   Symbol *Tail = Start->Guard->Prev;
   link(Tail, S);

@@ -81,8 +81,13 @@ public:
   /// Serializes the grammar (ULEB128-based); byte counts of this
   /// serialization are the profile sizes compared in Figure 5. A
   /// terminal's code is its value << 1, so every terminal must be below
-  /// 2^63; a larger one is a fatal error in every build.
+  /// 2^63; a larger one is a fatal error in every build. Check
+  /// fitsImage() first when the terminals come from untrusted input.
   std::vector<uint8_t> serialize() const;
+
+  /// True when every terminal appended so far is below 2^63, so that
+  /// serialize() can write the grammar image.
+  bool fitsImage() const { return (TerminalBits >> 63) == 0; }
 
   /// Returns serialize().size() without retaining the buffer.
   size_t serializedSizeBytes() const;
@@ -197,6 +202,9 @@ private:
 
   Rule *Start;
   uint64_t InputLen = 0;
+  /// OR of every appended terminal: one instruction per append buys
+  /// fitsImage() without a scan.
+  uint64_t TerminalBits = 0;
   uint64_t NextRuleId = 0;
   DigramTable<Symbol *> Index;
   std::vector<Rule *> MaybeUnderused;

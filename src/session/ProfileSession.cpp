@@ -68,43 +68,15 @@ bool ProfileSession::injectBlock(const uint8_t *Payload, size_t Len,
     Failed = true;
     return false;
   }
-  trace::MemoryInterface &Memory = Core->memory();
-  if (FormatVersion >= traceio::kFormatVersionV2) {
-    traceio::DecodedBlock Block;
-    if (!traceio::verifyBlockChecksum(Payload, Len, Crc, BlockIndex,
-                                      /*BaseOffset=*/0, Err) ||
-        !traceio::decodeEventBlockV2(Payload, Len, EventCount, Block, Err,
-                                     BlockIndex, /*BaseOffset=*/0)) {
-      Failed = true;
-      return false;
-    }
-    Events += traceio::injectDecodedBlock(Memory, Block);
-    return true;
-  }
-  auto Inject = [&](const traceio::TraceEvent &E) {
-    switch (E.K) {
-    case traceio::TraceEvent::Kind::Access:
-      Memory.injectAccess(trace::AccessEvent{E.InstrOrSite, E.Addr,
-                                             static_cast<uint32_t>(E.Size),
-                                             E.IsStore, E.Time});
-      break;
-    case traceio::TraceEvent::Kind::Alloc:
-      Memory.injectAlloc(trace::AllocEvent{E.InstrOrSite, E.Addr, E.Size,
-                                           E.Time, E.IsStatic});
-      break;
-    case traceio::TraceEvent::Kind::Free:
-      Memory.injectFree(trace::FreeEvent{E.Addr, E.Time});
-      break;
-    }
-    ++Events;
-  };
+  traceio::DecodedBlock Block;
   if (!traceio::verifyBlockChecksum(Payload, Len, Crc, BlockIndex,
                                     /*BaseOffset=*/0, Err) ||
-      !traceio::decodeEventBlock(Payload, Len, EventCount, Inject, Err,
-                                 BlockIndex, /*BaseOffset=*/0)) {
+      !traceio::decodeEventBlock(FormatVersion, Payload, Len, EventCount,
+                                 Block, Err, BlockIndex, /*BaseOffset=*/0)) {
     Failed = true;
     return false;
   }
+  Events += traceio::injectDecodedBlock(Core->memory(), Block);
   return true;
 }
 
@@ -206,8 +178,18 @@ SessionArtifacts ProfileSession::finalize() {
   A.Events = Events;
   A.Failed = Failed;
   A.Error = Err;
-  if (Whomp)
-    A.Omsg = whomp::OmsgArchive::serializeProfile(*Whomp, &Core->omc());
+  if (Whomp) {
+    // The trace is untrusted: a terminal the grammar image cannot hold
+    // fails the session instead of reaching serialize()'s fatal guard.
+    if (std::string Why = whomp::OmsgArchive::imageRangeError(*Whomp);
+        !Why.empty()) {
+      if (!A.Failed)
+        A.Error = Name + ": " + Why;
+      A.Failed = true;
+    } else {
+      A.Omsg = whomp::OmsgArchive::serializeProfile(*Whomp, &Core->omc());
+    }
+  }
   if (Leap)
     A.Leap = leap::LeapProfileData::fromProfiler(*Leap).serialize();
   return A;

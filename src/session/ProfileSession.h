@@ -56,7 +56,9 @@ struct SessionArtifacts {
   std::vector<uint8_t> Omsg; ///< OmsgArchive bytes; empty when disabled.
   std::vector<uint8_t> Leap; ///< LeapProfileData bytes; empty if disabled.
   uint64_t Events = 0;       ///< Events injected over the session's life.
-  bool Failed = false;       ///< A block failed to decode (see Error).
+  /// A block failed to decode, or a WHOMP grammar holds a terminal its
+  /// image cannot store (Omsg is then empty); see Error.
+  bool Failed = false;
   std::string Error;
 };
 
@@ -102,11 +104,12 @@ public:
   /// Verifies and decodes one still-encoded .orpt event block payload
   /// and injects its events into the pipeline. \p FormatVersion is the
   /// payload's .orpt format version (EVENTS frames carry it; a file
-  /// replay uses the header's): v1 blocks stream per event, v2 blocks
-  /// decode columnar and inject whole access slices. \p BlockIndex
-  /// labels diagnostics (the sender's running block count). Returns
-  /// false — latching failed()/error() — on a corrupt block; the
-  /// session then rejects further injection but can still be finalized.
+  /// replay uses the header's); either version decodes to one
+  /// DecodedBlock whose access runs are injected as whole slices, and a
+  /// corrupt block injects nothing. \p BlockIndex labels diagnostics
+  /// (the sender's running block count). Returns false — latching
+  /// failed()/error() — on a corrupt block; the session then rejects
+  /// further injection but can still be finalized.
   bool injectBlock(const uint8_t *Payload, size_t Len, uint64_t EventCount,
                    uint32_t Crc, uint64_t BlockIndex,
                    uint8_t FormatVersion);

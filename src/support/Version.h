@@ -27,8 +27,8 @@ namespace support {
 constexpr const char *kVersionString = "0.9.0";
 
 /// Oldest and newest .orpt format versions this build reads: v1
-/// (interleaved records) and v2 (columnar blocks). The writer defaults
-/// to the newest; both decode everywhere.
+/// (interleaved records) and v2 (columnar blocks). The writer emits v2
+/// only; both decode everywhere.
 constexpr unsigned kMinTraceFormatVersion = 1;
 constexpr unsigned kMaxTraceFormatVersion = 2;
 

@@ -17,10 +17,10 @@ std::string where(uint64_t BlockIndex, uint64_t AbsOffset) {
          std::to_string(AbsOffset);
 }
 
-/// Block-granularity decode instrumentation shared by both payload
-/// decoders (one histogram sample + two counter bumps per block, not
-/// per event). Safe from decode-ahead and session-scheduler workers:
-/// the metrics are shard-atomic. The references resolve once.
+/// Block-granularity decode instrumentation for decodeEventBlock (one
+/// histogram sample + two counter bumps per block, not per event). Safe
+/// from decode-ahead and session-scheduler workers: the metrics are
+/// shard-atomic. The references resolve once.
 struct DecodeMetrics {
   telemetry::Histogram &Ns;
   telemetry::Counter &Blocks;
@@ -35,127 +35,118 @@ struct DecodeMetrics {
   }
 };
 
-} // namespace
-
-bool traceio::verifyBlockChecksum(const uint8_t *Payload, size_t Len,
-                                  uint32_t Crc, uint64_t BlockIndex,
-                                  uint64_t BaseOffset, std::string &Err) {
-  if (crc32(Payload, Len) == Crc)
-    return true;
-  Err = where(BlockIndex, BaseOffset) +
-        ": checksum mismatch (corrupted file)";
-  return false;
-}
-
-bool traceio::decodeEventBlock(
-    const uint8_t *Payload, size_t Len, uint64_t EventCount,
-    const std::function<void(const TraceEvent &)> &Fn, std::string &Err,
-    uint64_t BlockIndex, uint64_t BaseOffset) {
-  DecodeMetrics &Metrics = DecodeMetrics::get();
-  telemetry::ScopedHistogramTimer Timing(Metrics.Ns);
-  Metrics.Blocks.add();
-  Metrics.Events.add(EventCount);
-
+/// Decodes a v1 payload: interleaved records, each a tag byte and its
+/// fields. Accesses go to Out.Accesses, allocs and frees to
+/// Out.Boundaries; on failure Out is cleared.
+bool decodeRecords(const uint8_t *Payload, size_t Len, uint64_t EventCount,
+                   DecodedBlock &Out, std::string &Err, uint64_t BlockIndex,
+                   uint64_t BaseOffset) {
   size_t Pos = 0;
   uint64_t PrevAddr = 0, PrevTime = 0;
   auto Fail = [&](const std::string &Msg) {
     Err = where(BlockIndex, BaseOffset + Pos) + ": " + Msg;
+    Out.clear();
     return false;
   };
   // Field readers that fold the decode status (truncated / overflow /
   // overlong) into the diagnostic, so a fuzzer-found corruption is
   // distinguishable from a short read.
-  auto ReadU = [&](uint64_t &Out, const char *Record) {
-    VarIntStatus St =
-        decodeULEB128Checked(Payload, Len, Pos, Out);
+  auto ReadU = [&](uint64_t &Val, const char *Record) {
+    VarIntStatus St = decodeULEB128Checked(Payload, Len, Pos, Val);
     if (St == VarIntStatus::Ok)
       return true;
     return Fail(std::string("malformed ") + Record + " record (" +
                 varIntStatusName(St) + " varint)");
   };
-  auto ReadS = [&](int64_t &Out, const char *Record) {
-    VarIntStatus St =
-        decodeSLEB128Checked(Payload, Len, Pos, Out);
+  auto ReadS = [&](int64_t &Val, const char *Record) {
+    VarIntStatus St = decodeSLEB128Checked(Payload, Len, Pos, Val);
     if (St == VarIntStatus::Ok)
       return true;
     return Fail(std::string("malformed ") + Record + " record (" +
                 varIntStatusName(St) + " varint)");
+  };
+  auto AddBoundary = [&](const TraceEvent &E) {
+    PrevAddr = E.Addr;
+    PrevTime = E.Time;
+    Out.Boundaries.push_back(DecodedBlock::Boundary{Out.Accesses.size(), E});
   };
   for (uint64_t I = 0; I != EventCount; ++I) {
     if (Pos >= Len)
       return Fail("truncated event payload");
     uint8_t Tag = Payload[Pos++];
-    TraceEvent Event;
     uint64_t U;
     int64_t S;
     switch (Tag & kOpMask) {
-    case kOpAccess:
-      Event.K = TraceEvent::Kind::Access;
-      Event.IsStore = (Tag & kTagStore) != 0;
+    case kOpAccess: {
+      trace::AccessEvent A;
+      A.IsStore = (Tag & kTagStore) != 0;
       if (!ReadU(U, "access"))
         return false;
-      Event.InstrOrSite = static_cast<uint32_t>(U);
+      A.Instr = static_cast<trace::InstrId>(U);
       if (!ReadS(S, "access"))
         return false;
-      Event.Addr = PrevAddr + static_cast<uint64_t>(S);
+      A.Addr = PrevAddr + static_cast<uint64_t>(S);
       if (!ReadS(S, "access"))
         return false;
-      Event.Time = PrevTime + static_cast<uint64_t>(S);
+      A.Time = PrevTime + static_cast<uint64_t>(S);
       if (Tag & kTagSize8) {
-        Event.Size = 8;
+        A.Size = 8;
       } else if (!ReadU(U, "access")) {
         return false;
       } else {
-        Event.Size = U;
+        A.Size = static_cast<uint32_t>(U);
       }
+      PrevAddr = A.Addr;
+      PrevTime = A.Time;
+      Out.Accesses.push_back(A);
       break;
-    case kOpAlloc:
-      Event.K = TraceEvent::Kind::Alloc;
-      Event.IsStatic = (Tag & kTagStatic) != 0;
+    }
+    case kOpAlloc: {
+      TraceEvent E;
+      E.K = TraceEvent::Kind::Alloc;
+      E.IsStatic = (Tag & kTagStatic) != 0;
       if (!ReadU(U, "alloc"))
         return false;
-      Event.InstrOrSite = static_cast<uint32_t>(U);
+      E.InstrOrSite = static_cast<uint32_t>(U);
       if (!ReadS(S, "alloc"))
         return false;
-      Event.Addr = PrevAddr + static_cast<uint64_t>(S);
+      E.Addr = PrevAddr + static_cast<uint64_t>(S);
       if (!ReadU(U, "alloc"))
         return false;
-      Event.Size = U;
+      E.Size = U;
       if (!ReadS(S, "alloc"))
         return false;
-      Event.Time = PrevTime + static_cast<uint64_t>(S);
+      E.Time = PrevTime + static_cast<uint64_t>(S);
+      AddBoundary(E);
       break;
-    case kOpFree:
-      Event.K = TraceEvent::Kind::Free;
+    }
+    case kOpFree: {
+      TraceEvent E;
+      E.K = TraceEvent::Kind::Free;
       if (!ReadS(S, "free"))
         return false;
-      Event.Addr = PrevAddr + static_cast<uint64_t>(S);
+      E.Addr = PrevAddr + static_cast<uint64_t>(S);
       if (!ReadS(S, "free"))
         return false;
-      Event.Time = PrevTime + static_cast<uint64_t>(S);
+      E.Time = PrevTime + static_cast<uint64_t>(S);
+      AddBoundary(E);
       break;
+    }
     default:
       return Fail("unknown event opcode " + std::to_string(Tag & kOpMask));
     }
-    PrevAddr = Event.Addr;
-    PrevTime = Event.Time;
-    Fn(Event);
   }
   if (Pos != Len)
     return Fail("trailing bytes in event payload");
   return true;
 }
 
-bool traceio::decodeEventBlockV2(const uint8_t *Payload, size_t Len,
-                                 uint64_t EventCount, DecodedBlock &Out,
-                                 std::string &Err, uint64_t BlockIndex,
-                                 uint64_t BaseOffset) {
-  DecodeMetrics &Metrics = DecodeMetrics::get();
-  telemetry::ScopedHistogramTimer Timing(Metrics.Ns);
-  Metrics.Blocks.add();
-  Metrics.Events.add(EventCount);
-
-  Out.clear();
+/// Decodes a v2 payload column by column: each column is decoded in its
+/// own tight varint loop (decode*LEB128Fast) before the columns are
+/// zipped into Out. On failure Out is cleared.
+bool decodeColumns(const uint8_t *Payload, size_t Len, uint64_t EventCount,
+                   DecodedBlock &Out, std::string &Err, uint64_t BlockIndex,
+                   uint64_t BaseOffset) {
   auto FailAt = [&](size_t At, const std::string &Msg) {
     Err = where(BlockIndex, BaseOffset + At) + ": " + Msg;
     Out.clear();
@@ -340,6 +331,35 @@ bool traceio::decodeEventBlockV2(const uint8_t *Payload, size_t Len,
   return true;
 }
 
+} // namespace
+
+bool traceio::verifyBlockChecksum(const uint8_t *Payload, size_t Len,
+                                  uint32_t Crc, uint64_t BlockIndex,
+                                  uint64_t BaseOffset, std::string &Err) {
+  if (crc32(Payload, Len) == Crc)
+    return true;
+  Err = where(BlockIndex, BaseOffset) +
+        ": checksum mismatch (corrupted file)";
+  return false;
+}
+
+bool traceio::decodeEventBlock(uint8_t Version, const uint8_t *Payload,
+                               size_t Len, uint64_t EventCount,
+                               DecodedBlock &Out, std::string &Err,
+                               uint64_t BlockIndex, uint64_t BaseOffset) {
+  DecodeMetrics &Metrics = DecodeMetrics::get();
+  telemetry::ScopedHistogramTimer Timing(Metrics.Ns);
+  Metrics.Blocks.add();
+  Metrics.Events.add(EventCount);
+
+  Out.clear();
+  if (Version < kFormatVersionV2)
+    return decodeRecords(Payload, Len, EventCount, Out, Err, BlockIndex,
+                         BaseOffset);
+  return decodeColumns(Payload, Len, EventCount, Out, Err, BlockIndex,
+                       BaseOffset);
+}
+
 void traceio::forEachDecodedEvent(
     const DecodedBlock &Block,
     const std::function<void(const TraceEvent &)> &Fn) {
@@ -361,21 +381,6 @@ void traceio::forEachDecodedEvent(
   }
   for (; Cursor != Block.Accesses.size(); ++Cursor)
     EmitAccess(Block.Accesses[Cursor]);
-}
-
-bool traceio::decodeEventBlockAny(
-    uint8_t Version, const uint8_t *Payload, size_t Len, uint64_t EventCount,
-    const std::function<void(const TraceEvent &)> &Fn, std::string &Err,
-    uint64_t BlockIndex, uint64_t BaseOffset) {
-  if (Version < kFormatVersionV2)
-    return decodeEventBlock(Payload, Len, EventCount, Fn, Err, BlockIndex,
-                            BaseOffset);
-  DecodedBlock Block;
-  if (!decodeEventBlockV2(Payload, Len, EventCount, Block, Err, BlockIndex,
-                          BaseOffset))
-    return false;
-  forEachDecodedEvent(Block, Fn);
-  return true;
 }
 
 uint64_t traceio::injectDecodedBlock(trace::MemoryInterface &Memory,

@@ -7,11 +7,12 @@
 ///
 /// \file
 /// Decoder for one .orpt event block *payload*, usable outside a whole
-/// trace file. Blocks decode independently — the writer resets the
-/// address/time delta chains at every block boundary — so the same
-/// payload bytes can arrive from a .orpt file (TraceReader) or from an
-/// EVENTS frame of the orp-traced wire protocol (src/session) and
-/// produce the identical event sequence.
+/// trace file. Both format versions decode to one shape, DecodedBlock,
+/// so no consumer forks on the version. Blocks decode independently —
+/// the writer resets the address/time delta chains at every block
+/// boundary — so the same payload bytes can arrive from a .orpt file
+/// (TraceReader) or from an EVENTS frame of the orp-traced wire
+/// protocol (src/session) and produce the identical event sequence.
 ///
 /// Every failure carries the block index and the absolute byte offset
 /// of the fault (\p BaseOffset plus the local position), so corruption
@@ -43,25 +44,12 @@ namespace traceio {
                          uint64_t BlockIndex, uint64_t BaseOffset,
                          std::string &Err);
 
-/// Decodes the \p EventCount records of one event-block payload into
-/// \p Fn, in delivery order. The delta-decoder state starts at zero
-/// (block boundary contract). Returns false with \p Err set on any
-/// malformed record; events delivered before the fault stand. \p
-/// BlockIndex and \p BaseOffset (the payload's absolute position in
-/// its file or stream, 0 when standalone) only label diagnostics:
-/// "block <Index> at byte <abs>: malformed access record ...".
-[[nodiscard]] bool decodeEventBlock(const uint8_t *Payload, size_t Len,
-                      uint64_t EventCount,
-                      const std::function<void(const TraceEvent &)> &Fn,
-                      std::string &Err, uint64_t BlockIndex = 0,
-                      uint64_t BaseOffset = 0);
-
-/// One fully decoded v2 columnar block, shaped for batch injection:
-/// every access in delivery order in one contiguous vector, with the
-/// interspersed alloc/free events split out as boundaries. The replayer
-/// hands each run of accesses between two boundaries to
-/// MemoryInterface::injectAccessBatch as a single span — no per-event
-/// dispatch — which is the point of the columnar layout.
+/// One decoded event block, shaped for batch injection: every access in
+/// delivery order in one contiguous vector, with the interspersed
+/// alloc/free events split out as boundaries. Both format versions
+/// decode to it. The replayer hands each run of accesses between two
+/// boundaries to MemoryInterface::injectAccessBatch as a single span —
+/// no per-event dispatch.
 struct DecodedBlock {
   /// An alloc or free, plus its position in the delivery order.
   struct Boundary {
@@ -79,34 +67,25 @@ struct DecodedBlock {
   }
 };
 
-/// Decodes one v2 columnar block payload into \p Out (contents
-/// replaced). Column-at-a-time: each column is decoded in its own tight
-/// varint loop (decode*LEB128Fast) before the columns are zipped into
-/// \p Out. Unlike the streaming v1 decoder nothing is delivered on
-/// failure — \p Out is left empty and \p Err carries the fault
-/// (truncated column, column length mismatch, overlong varint, unknown
-/// opcode) with the same "block <Index> at byte <abs>" prefix as v1
-/// diagnostics.
-[[nodiscard]] bool decodeEventBlockV2(const uint8_t *Payload, size_t Len,
-                        uint64_t EventCount, DecodedBlock &Out,
-                        std::string &Err, uint64_t BlockIndex = 0,
-                        uint64_t BaseOffset = 0);
+/// Decodes the \p EventCount events of one event-block payload in .orpt
+/// format \p Version (v1 interleaved records, v2 columns; TraceFormat.h)
+/// into \p Out, replacing its contents. The delta-decoder state starts
+/// at zero (block boundary contract). Nothing is delivered on failure:
+/// \p Out is left empty and \p Err names the fault — truncated record or
+/// column, column length mismatch, overlong varint, unknown opcode,
+/// trailing bytes. \p BlockIndex and \p BaseOffset (the payload's
+/// absolute position in its file or stream, 0 when standalone) only
+/// label diagnostics: "block <Index> at byte <abs>: ...".
+[[nodiscard]] bool decodeEventBlock(uint8_t Version, const uint8_t *Payload,
+                                    size_t Len, uint64_t EventCount,
+                                    DecodedBlock &Out, std::string &Err,
+                                    uint64_t BlockIndex = 0,
+                                    uint64_t BaseOffset = 0);
 
 /// Walks \p Block in original delivery order, reconstituting the flat
-/// TraceEvent view (for tools and tests that want the v1-shaped stream
-/// regardless of on-disk format).
+/// TraceEvent view (for tools and tests that want events one by one).
 void forEachDecodedEvent(const DecodedBlock &Block,
                          const std::function<void(const TraceEvent &)> &Fn);
-
-/// Version-dispatching decode: v1 payloads stream through the original
-/// record decoder, v2 payloads decode columnar and are then walked in
-/// delivery order. The event sequence delivered to \p Fn is identical
-/// for the same recorded stream in either format.
-[[nodiscard]] bool decodeEventBlockAny(uint8_t Version, const uint8_t *Payload,
-                         size_t Len, uint64_t EventCount,
-                         const std::function<void(const TraceEvent &)> &Fn,
-                         std::string &Err, uint64_t BlockIndex = 0,
-                         uint64_t BaseOffset = 0);
 
 /// Injects \p Block into \p Memory in delivery order: every run of
 /// accesses between boundaries travels as one injectAccessBatch span,

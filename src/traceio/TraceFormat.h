@@ -19,7 +19,7 @@
 ///   FixedHeader (36 bytes)
 ///     [0]  magic "ORPT"
 ///     [4]  u8  version (1 or 2; the versions differ only in the event
-///          payload encoding, selected per file)
+///          payload encoding, selected per file; the writer emits 2)
 ///     [5]  u8  flags (kFlagHasRegistry)
 ///     [6]  u8  alloc policy (memsim::AllocPolicy)
 ///     [7]  u8  reserved (0)
@@ -89,16 +89,14 @@ constexpr uint8_t kMagic[4] = {'O', 'R', 'P', 'T'};
 
 /// The two on-disk format revisions: v1 interleaved records, v2
 /// columnar blocks. Readers accept the whole [v1, v2] range and select
-/// the payload decoder per file; writers default to v2 and can be asked
-/// for v1 (`orp-trace record --format-version=1`). The format is
+/// the payload decoder per file; v1 is read-only (the checked-in
+/// fixtures under tests/fixtures keep it tested). The format is
 /// append-only versioned (new event kinds or header fields bump this).
 constexpr uint8_t kFormatVersionV1 = 1;
 constexpr uint8_t kFormatVersionV2 = 2;
 
-/// Newest format version this build reads and the writer's default.
-/// (Kept under the historical name: existing code and tests compare
-/// reader/writer versions against "the" format version, which has
-/// always meant the newest one.)
+/// Newest format version this build reads, and the one the writer
+/// emits.
 constexpr uint8_t kFormatVersion = kFormatVersionV2;
 
 /// Size in bytes of the fixed file header.

@@ -8,11 +8,12 @@
 /// \file
 /// Validating reader for .orpt traces. open() checks the magic, version,
 /// header checksum, block framing, registry section and end marker;
-/// forEachEvent() streams the decoded records block by block, verifying
-/// each block's CRC before touching its payload. Trace files are
-/// untrusted input: every failure mode (truncation, bit flips, bad
-/// varints, trailing garbage) produces a clear error string instead of
-/// an assert or undefined behavior.
+/// decodeBlockColumns() decodes one block of either format version into
+/// a DecodedBlock, verifying the block's CRC before touching its
+/// payload, and forEachEvent() walks those blocks event by event. Trace
+/// files are untrusted input: every failure mode (truncation, bit flips,
+/// bad varints, trailing garbage) produces a clear error string instead
+/// of an assert or undefined behavior.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +35,7 @@ namespace traceio {
 class TraceReader {
 public:
   /// Loads \p Path and validates everything except event payload
-  /// contents (those are checked checksum-first by forEachEvent).
+  /// contents (those are checked checksum-first by decodeBlockColumns).
   /// Returns false with error() set on any problem.
   [[nodiscard]] bool open(const std::string &Path);
 
@@ -53,9 +54,10 @@ public:
     return Sites;
   }
 
-  /// Decodes every event in delivery order into \p Fn. Returns false
-  /// with error() set on a corrupted payload; events already delivered
-  /// before the corrupt block stand. Restartable (stateless).
+  /// Decodes every event in delivery order into \p Fn, one whole block
+  /// at a time. Returns false with error() set on a corrupted payload;
+  /// the blocks before the corrupt one were delivered, nothing of the
+  /// corrupt block was. Restartable (stateless).
   [[nodiscard]] bool forEachEvent(const std::function<void(const TraceEvent &)> &Fn);
 
   /// Number of indexed event blocks; valid after open().
@@ -71,22 +73,16 @@ public:
   /// open(). Feeds `orp-trace info` without touching the payloads.
   std::vector<BlockStats> blockStats() const;
 
-  /// Decodes block \p Index (CRC-checked first, like forEachEvent) into
-  /// \p Out, replacing its contents. Blocks are independently decodable
-  /// — the writer restarts the address/time delta chains per block —
-  /// which is what lets TraceReplayer decode block N+1 on a worker
-  /// while block N is being consumed. \p Index must be in range.
-  /// Returns false with error() set on corruption.
-  [[nodiscard]] bool decodeBlockEvents(size_t Index, std::vector<TraceEvent> &Out);
-
   /// Convenience: decodes the whole stream into a vector.
   [[nodiscard]] bool readAllEvents(std::vector<TraceEvent> &Out);
 
-  /// Columnar decode of one v2 block (CRC-checked first) into \p Out,
-  /// shaped for batch injection — see traceio::DecodedBlock. Only valid
-  /// for v2 traces (info().Version >= kFormatVersionV2); the replayer
-  /// routes v1 traces through decodeBlockEvents instead. \p Index must
-  /// be in range. Returns false with error() set on corruption.
+  /// Decodes block \p Index (CRC-checked first) of either format version
+  /// into \p Out, replacing its contents — see traceio::DecodedBlock.
+  /// Blocks are independently decodable — the writer restarts the
+  /// address/time delta chains per block — which is what lets
+  /// TraceReplayer decode block N+1 on a worker while block N is being
+  /// injected. \p Index must be in range. Returns false with error() set
+  /// and \p Out empty on corruption.
   [[nodiscard]] bool decodeBlockColumns(size_t Index, DecodedBlock &Out);
 
   /// A still-encoded view of one event block, for forwarding the
@@ -118,7 +114,7 @@ private:
   std::vector<trace::AllocSiteInfo> Sites;
 
   /// One indexed event block: payload position/length and declared
-  /// event count (CRC verified lazily in forEachEvent).
+  /// event count (CRC verified lazily in decodeBlockColumns).
   struct BlockRef {
     size_t PayloadPos;
     size_t PayloadLen;

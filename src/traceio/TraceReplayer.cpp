@@ -31,24 +31,6 @@ bool TraceReplayer::replayInto(core::ProfilingSession &Session,
   telemetry::Registry &Reg = telemetry::Registry::global();
   telemetry::ScopedTimer ReplayTiming(Reg.timer("replay.total"));
   Replayed = 0;
-  auto Inject = [&](const TraceEvent &E) {
-    switch (E.K) {
-    case TraceEvent::Kind::Access:
-      Memory.injectAccess(trace::AccessEvent{
-          E.InstrOrSite, E.Addr, static_cast<uint32_t>(E.Size), E.IsStore,
-          E.Time});
-      break;
-    case TraceEvent::Kind::Alloc:
-      Memory.injectAlloc(
-          trace::AllocEvent{E.InstrOrSite, E.Addr, E.Size, E.Time,
-                            E.IsStatic});
-      break;
-    case TraceEvent::Kind::Free:
-      Memory.injectFree(trace::FreeEvent{E.Addr, E.Time});
-      break;
-    }
-    ++Replayed;
-  };
 
   // Replay covers blocks [B0, B1); checkpoint/resume callers restrict
   // the range, everything else replays the whole trace.
@@ -57,80 +39,21 @@ bool TraceReplayer::replayInto(core::ProfilingSession &Session,
   const size_t B1 =
       EndBlock < B0 ? B0 : (EndBlock < NumBlocks ? EndBlock : NumBlocks);
 
-  bool Ok;
-  if (Reader.info().Version >= kFormatVersionV2) {
-    // Columnar replay: each block decodes straight into contiguous
-    // column slices (DecodedBlock) and every between-boundaries run of
-    // accesses is injected as one span — whole-slice onAccessBatch
-    // fan-out instead of per-event virtual dispatch. Delivery order is
-    // identical to the per-event path, so profiles are byte-identical.
-    if (Threads <= 1 || B1 - B0 < 2) {
-      DecodedBlock Block;
-      Ok = true;
-      for (size_t B = B0; B != B1; ++B) {
-        if (!Reader.decodeBlockColumns(B, Block)) {
-          Ok = false;
-          break;
-        }
-        Replayed += injectDecodedBlock(Memory, Block);
-        if (BlockDone)
-          BlockDone(B + 1);
+  // Every block, of either format version, decodes into a DecodedBlock
+  // and every between-boundaries run of accesses is injected as one
+  // span — whole-slice onAccessBatch fan-out instead of per-event
+  // virtual dispatch. A corrupt block is never partly injected.
+  bool Ok = true;
+  if (Threads <= 1 || B1 - B0 < 2) {
+    DecodedBlock Block;
+    for (size_t B = B0; B != B1; ++B) {
+      if (!Reader.decodeBlockColumns(B, Block)) {
+        Ok = false;
+        break;
       }
-    } else {
-      support::SpscQueue<DecodedBlock> Decoded(DecodeQueueDepth);
-      std::atomic<bool> DecodeOk{true};
-      support::ScopedThread Decoder([this, &Decoded, &DecodeOk, B0, B1] {
-        DecodedBlock Block;
-        for (size_t B = B0; B != B1; ++B) {
-          if (!Reader.decodeBlockColumns(B, Block)) {
-            DecodeOk.store(false, std::memory_order_release);
-            break;
-          }
-          if (!Decoded.push(std::move(Block)))
-            break; // Queue closed: the consumer is gone, stop decoding.
-          Block = DecodedBlock();
-        }
-        Decoded.close();
-      });
-      DecodedBlock Block;
-      // Blocks arrive in decode order, so the consumer's count names
-      // the block just injected; the callback runs on this (injecting)
-      // thread, as the session is single-threaded.
-      size_t NextBlock = B0;
-      while (Decoded.pop(Block)) {
-        Replayed += injectDecodedBlock(Memory, Block);
-        ++NextBlock;
-        if (BlockDone)
-          BlockDone(NextBlock);
-      }
-      Decoder.join();
-      support::QueueTelemetry QT = Decoded.telemetry();
-      Reg.gauge("replay.decode_queue.capacity")
-          .set(static_cast<int64_t>(QT.Capacity));
-      Reg.gauge("replay.decode_queue.high_watermark")
-          .set(static_cast<int64_t>(QT.HighWatermark));
-      Reg.gauge("replay.decode_queue.pushes")
-          .set(static_cast<int64_t>(QT.Pushes));
-      Reg.gauge("replay.decode_queue.push_stalls")
-          .set(static_cast<int64_t>(QT.PushStalls));
-      Ok = DecodeOk.load(std::memory_order_acquire);
-    }
-  } else if (Threads <= 1 || B1 - B0 < 2) {
-    if (B0 == 0 && B1 == NumBlocks && !BlockDone) {
-      Ok = Reader.forEachEvent(Inject);
-    } else {
-      std::vector<TraceEvent> Events;
-      Ok = true;
-      for (size_t B = B0; B != B1; ++B) {
-        if (!Reader.decodeBlockEvents(B, Events)) {
-          Ok = false;
-          break;
-        }
-        for (const TraceEvent &E : Events)
-          Inject(E);
-        if (BlockDone)
-          BlockDone(B + 1);
-      }
+      Replayed += injectDecodedBlock(Memory, Block);
+      if (BlockDone)
+        BlockDone(B + 1);
     }
   } else {
     // Double-buffered replay: a worker decodes blocks ahead through a
@@ -138,27 +61,29 @@ bool TraceReplayer::replayInto(core::ProfilingSession &Session,
     // order, so event delivery order — and every downstream profile —
     // is identical to the serial path. The sinks are not thread-safe;
     // they are only ever touched from this thread.
-    support::SpscQueue<std::vector<TraceEvent>> Decoded(DecodeQueueDepth);
+    support::SpscQueue<DecodedBlock> Decoded(DecodeQueueDepth);
     std::atomic<bool> DecodeOk{true};
     support::ScopedThread Decoder([this, &Decoded, &DecodeOk, B0, B1] {
-      std::vector<TraceEvent> Events;
+      DecodedBlock Block;
       for (size_t B = B0; B != B1; ++B) {
-        if (!Reader.decodeBlockEvents(B, Events)) {
+        if (!Reader.decodeBlockColumns(B, Block)) {
           DecodeOk.store(false, std::memory_order_release);
           break;
         }
-        if (!Decoded.push(std::move(Events)))
+        if (!Decoded.push(std::move(Block)))
           break; // Queue closed: the consumer is gone, stop decoding.
-        Events = std::vector<TraceEvent>();
+        Block = DecodedBlock();
       }
-      // Like forEachEvent: blocks decoded before a corrupt one stand.
+      // Blocks decoded before a corrupt one are injected, as serially.
       Decoded.close();
     });
-    std::vector<TraceEvent> Block;
+    DecodedBlock Block;
+    // Blocks arrive in decode order, so the consumer's count names
+    // the block just injected; the callback runs on this (injecting)
+    // thread, as the session is single-threaded.
     size_t NextBlock = B0;
     while (Decoded.pop(Block)) {
-      for (const TraceEvent &E : Block)
-        Inject(E);
+      Replayed += injectDecodedBlock(Memory, Block);
       ++NextBlock;
       if (BlockDone)
         BlockDone(NextBlock);

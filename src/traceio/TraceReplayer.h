@@ -78,7 +78,8 @@ public:
   /// Returns false with error() set when the trace is corrupt.
   [[nodiscard]] bool replayInto(core::ProfilingSession &Session, bool CallFinish = true);
 
-  /// Events delivered by the last replayInto().
+  /// Events delivered by the last replayInto(): whole blocks only, as a
+  /// corrupt block delivers none of its events.
   uint64_t eventsReplayed() const { return Replayed; }
 
   /// The reader's error, or empty.

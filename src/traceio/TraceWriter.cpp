@@ -13,13 +13,9 @@ using namespace orp::traceio;
 TraceWriter::TraceWriter(std::string Path,
                          const trace::InstructionRegistry &Registry,
                          memsim::AllocPolicy Policy, uint64_t Seed,
-                         size_t BlockBytes, uint8_t FormatVersion)
+                         size_t BlockBytes)
     : Path(std::move(Path)), Registry(Registry), Policy(Policy), Seed(Seed),
-      BlockBytes(BlockBytes), FormatVersion(FormatVersion) {
-  if (FormatVersion < kFormatVersionV1 || FormatVersion > kFormatVersionV2) {
-    fail("unsupported format version " + std::to_string(FormatVersion));
-    return;
-  }
+      BlockBytes(BlockBytes) {
   File = std::fopen(this->Path.c_str(), "wb");
   if (!File) {
     fail("cannot open '" + this->Path + "' for writing");
@@ -55,7 +51,7 @@ std::vector<uint8_t> TraceWriter::encodeHeader(uint64_t RegistryOffset) const {
   std::vector<uint8_t> Out;
   Out.reserve(kHeaderSize);
   Out.insert(Out.end(), kMagic, kMagic + 4);
-  Out.push_back(FormatVersion);
+  Out.push_back(kFormatVersion);
   Out.push_back(RegistryOffset ? kFlagHasRegistry : 0);
   Out.push_back(static_cast<uint8_t>(Policy));
   Out.push_back(0); // reserved
@@ -67,10 +63,8 @@ std::vector<uint8_t> TraceWriter::encodeHeader(uint64_t RegistryOffset) const {
 }
 
 size_t TraceWriter::pendingBlockBytes() const {
-  if (FormatVersion >= kFormatVersionV2)
-    return KindCol.size() + IdCol.size() + AddrCol.size() + TimeCol.size() +
-           SizeCol.size();
-  return Block.size();
+  return KindCol.size() + IdCol.size() + AddrCol.size() + TimeCol.size() +
+         SizeCol.size();
 }
 
 void TraceWriter::flushBlock() {
@@ -78,17 +72,15 @@ void TraceWriter::flushBlock() {
     PrevAddr = PrevTime = 0;
     return;
   }
-  if (FormatVersion >= kFormatVersionV2) {
-    // Assemble the five length-prefixed columns into one payload
-    // (TraceFormat.h column order).
-    Block.clear();
-    Block.reserve(pendingBlockBytes() + 20);
-    for (std::vector<uint8_t> *Col :
-         {&KindCol, &IdCol, &AddrCol, &TimeCol, &SizeCol}) {
-      encodeULEB128(Col->size(), Block);
-      Block.insert(Block.end(), Col->begin(), Col->end());
-      Col->clear();
-    }
+  // Assemble the five length-prefixed columns into one payload
+  // (TraceFormat.h column order).
+  Block.clear();
+  Block.reserve(pendingBlockBytes() + 20);
+  for (std::vector<uint8_t> *Col :
+       {&KindCol, &IdCol, &AddrCol, &TimeCol, &SizeCol}) {
+    encodeULEB128(Col->size(), Block);
+    Block.insert(Block.end(), Col->begin(), Col->end());
+    Col->clear();
   }
   std::vector<uint8_t> Frame;
   Frame.reserve(16);
@@ -116,21 +108,12 @@ void TraceWriter::onAccess(const trace::AccessEvent &Event) {
     Tag |= kTagStore;
   if (Event.Size == 8)
     Tag |= kTagSize8;
-  if (FormatVersion >= kFormatVersionV2) {
-    KindCol.push_back(Tag);
-    encodeULEB128(Event.Instr, IdCol);
-    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
-    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
-    if (Event.Size != 8)
-      encodeULEB128(Event.Size, SizeCol);
-  } else {
-    Block.push_back(Tag);
-    encodeULEB128(Event.Instr, Block);
-    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), Block);
-    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), Block);
-    if (Event.Size != 8)
-      encodeULEB128(Event.Size, Block);
-  }
+  KindCol.push_back(Tag);
+  encodeULEB128(Event.Instr, IdCol);
+  encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
+  encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
+  if (Event.Size != 8)
+    encodeULEB128(Event.Size, SizeCol);
   PrevAddr = Event.Addr;
   PrevTime = Event.Time;
   ++BlockEvents;
@@ -144,19 +127,11 @@ void TraceWriter::onAlloc(const trace::AllocEvent &Event) {
   uint8_t Tag = kOpAlloc;
   if (Event.IsStatic)
     Tag |= kTagStatic;
-  if (FormatVersion >= kFormatVersionV2) {
-    KindCol.push_back(Tag);
-    encodeULEB128(Event.Site, IdCol);
-    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
-    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
-    encodeULEB128(Event.Size, SizeCol);
-  } else {
-    Block.push_back(Tag);
-    encodeULEB128(Event.Site, Block);
-    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), Block);
-    encodeULEB128(Event.Size, Block);
-    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), Block);
-  }
+  KindCol.push_back(Tag);
+  encodeULEB128(Event.Site, IdCol);
+  encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
+  encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
+  encodeULEB128(Event.Size, SizeCol);
   PrevAddr = Event.Addr;
   PrevTime = Event.Time;
   ++BlockEvents;
@@ -167,15 +142,9 @@ void TraceWriter::onAlloc(const trace::AllocEvent &Event) {
 void TraceWriter::onFree(const trace::FreeEvent &Event) {
   if (!File || Closed)
     return;
-  if (FormatVersion >= kFormatVersionV2) {
-    KindCol.push_back(kOpFree);
-    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
-    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
-  } else {
-    Block.push_back(kOpFree);
-    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), Block);
-    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), Block);
-  }
+  KindCol.push_back(kOpFree);
+  encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
+  encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
   PrevAddr = Event.Addr;
   PrevTime = Event.Time;
   ++BlockEvents;

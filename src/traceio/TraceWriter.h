@@ -8,8 +8,9 @@
 /// \file
 /// A TraceSink that records the probe event stream to a .orpt file.
 /// Attach to any ProfilingSession with addRawSink(); events are
-/// delta+LEB128 encoded into checksummed blocks and streamed to disk as
-/// blocks fill. close() (or onFinish(), or destruction) appends the
+/// delta+LEB128 encoded into checksummed columnar blocks (format v2, the
+/// only version this writer produces) and streamed to disk as blocks
+/// fill. close() (or onFinish(), or destruction) appends the
 /// snapshot of the run's InstructionRegistry — complete only once the
 /// workload has registered all its probe sites — and patches the fixed
 /// header, which until then marks the file unfinalized.
@@ -43,15 +44,10 @@ public:
   /// Opens \p Path for writing. \p Registry is the session registry whose
   /// final contents are snapshotted at close(); \p Policy and \p Seed are
   /// the run configuration recorded in the header so replays can recreate
-  /// an identical session. \p FormatVersion selects the event payload
-  /// encoding — kFormatVersionV2 columnar (default) or kFormatVersionV1
-  /// interleaved for compatibility with old readers; the same event
-  /// stream recorded at either version replays to byte-identical
-  /// profiles.
+  /// an identical session.
   TraceWriter(std::string Path, const trace::InstructionRegistry &Registry,
               memsim::AllocPolicy Policy, uint64_t Seed,
-              size_t BlockBytes = kDefaultBlockBytes,
-              uint8_t FormatVersion = kFormatVersionV2);
+              size_t BlockBytes = kDefaultBlockBytes);
 
   /// Closes the file if still open.
   ~TraceWriter() override;
@@ -83,9 +79,6 @@ public:
   /// Bytes written to disk so far (final after close()).
   uint64_t bytesWritten() const { return BytesOut; }
 
-  /// The .orpt format version this writer emits.
-  uint8_t formatVersion() const { return FormatVersion; }
-
 private:
   void fail(const std::string &Msg);
   void writeBytes(const void *Data, size_t Size);
@@ -100,16 +93,14 @@ private:
   memsim::AllocPolicy Policy;
   uint64_t Seed;
   size_t BlockBytes;
-  uint8_t FormatVersion;
   std::FILE *File = nullptr;
   std::string Err;
   bool Closed = false;
 
-  /// Current v1 block payload (interleaved records).
-  std::vector<uint8_t> Block;
-  /// Current v2 block columns (TraceFormat.h column order); assembled
-  /// into one length-prefixed payload at flush.
+  /// Current block columns (TraceFormat.h column order); assembled into
+  /// one length-prefixed payload, Block, at flush.
   std::vector<uint8_t> KindCol, IdCol, AddrCol, TimeCol, SizeCol;
+  std::vector<uint8_t> Block;
   uint64_t BlockEvents = 0;
   /// Delta-encoder state; reset at every block boundary.
   uint64_t PrevAddr = 0;

@@ -8,6 +8,17 @@
 using namespace orp;
 using namespace orp::whomp;
 
+std::string OmsgArchive::imageRangeError(const WhompProfiler &Profiler) {
+  for (core::Dimension D :
+       {core::Dimension::Instruction, core::Dimension::Group,
+        core::Dimension::Object, core::Dimension::Offset})
+    if (!Profiler.grammarFor(D).fitsImage())
+      return std::string(core::dimensionName(D)) +
+             " grammar: a terminal of 2^63 or more does not fit the "
+             "grammar image";
+  return std::string();
+}
+
 std::vector<uint8_t>
 OmsgArchive::serializeProfile(const WhompProfiler &Profiler,
                               const omc::ObjectManager *Omc) {

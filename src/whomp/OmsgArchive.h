@@ -49,6 +49,12 @@ struct ObjectAux {
 /// them through GrammarImage::Expander.
 class OmsgArchive {
 public:
+  /// Empty when serializeProfile() can write \p Profiler's grammars;
+  /// otherwise an error naming the first dimension whose grammar holds a
+  /// terminal the grammar image cannot store (2^63 or more). Front ends
+  /// that profile untrusted traces check this before serializing.
+  static std::string imageRangeError(const WhompProfiler &Profiler);
+
   /// Writes the archive of \p Profiler straight from its live grammars;
   /// when \p Omc is given, the auxiliary lifetime table is included
   /// (base addresses — the run-dependent raw data — are deliberately

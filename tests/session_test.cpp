@@ -56,6 +56,15 @@ std::string tempPath(const std::string &Name) {
   return testing::TempDir() + "orp_session_" + Name;
 }
 
+/// The checked-in trace whose offset terminals reach 2^63 (one object of
+/// 2^63 + 4096 bytes, four loads past its 2^63rd byte; see
+/// tests/fixtures/README.md). The grammar image cannot store them.
+const std::string kHugeOffsetTrace =
+    std::string(ORP_FIXTURE_DIR) + "/huge_offset.orpt";
+constexpr const char *kUnstorableOffset =
+    "offset grammar: a terminal of 2^63 or more does not fit the grammar "
+    "image";
+
 /// Records \p WorkloadName (at \p Scale, with a small block size so the
 /// trace has many independently-schedulable blocks) to \p Path.
 void recordTrace(const std::string &WorkloadName, const std::string &Path,
@@ -605,6 +614,31 @@ INSTANTIATE_TEST_SUITE_P(
       return Name + "_t" + std::to_string(std::get<1>(Info.param));
     });
 
+TEST(ProfileSessionTest, UnstorableTerminalFailsFinalizeWithoutAborting) {
+  // Replay succeeds; finalize reports the dimension instead of reaching
+  // serialize()'s fatal guard, writes no OMSG and still writes LEAP.
+  for (unsigned Threads : {1u, 2u}) {
+    traceio::TraceReader Reader;
+    ASSERT_TRUE(Reader.open(kHugeOffsetTrace)) << Reader.error();
+    session::SessionConfig Config = configFor(Reader);
+    Config.ProfilerThreads = Threads;
+    session::ProfileSession Session("huge", Config);
+    ASSERT_TRUE(Session.replayFrom(Reader)) << Session.error();
+    SessionArtifacts A = Session.finalize();
+    EXPECT_TRUE(A.Failed) << "threads=" << Threads;
+    EXPECT_EQ(A.Error, std::string("huge: ") + kUnstorableOffset);
+    EXPECT_TRUE(A.Omsg.empty());
+    EXPECT_FALSE(A.Leap.empty());
+    EXPECT_EQ(A.Events, 6u);
+    EXPECT_FALSE(Session.whomp()
+                     ->grammarFor(core::Dimension::Offset)
+                     .fitsImage());
+    EXPECT_TRUE(Session.whomp()
+                    ->grammarFor(core::Dimension::Instruction)
+                    .fitsImage());
+  }
+}
+
 TEST(SessionManagerTest, CloseBytesHoldGrammarImagesAndObjectRows) {
   ScopedRole Role(session::SessionControlRole);
   std::string Path = tempPath("direct_close.orpt");
@@ -1070,6 +1104,61 @@ TEST(DaemonTest, CorruptStreamGetsErrorReplyOthersUnaffected) {
   EXPECT_FALSE(GoodSummary.Failed) << GoodSummary.Error;
   EXPECT_EQ(GoodSummary.Omsg, Serial.Omsg);
   EXPECT_EQ(GoodSummary.Leap, Serial.Leap);
+  std::remove(Path.c_str());
+}
+
+TEST(DaemonTest, UnstorableTerminalFailsOnlyItsOwnClose) {
+  // Two clients stream concurrently: one the huge-offset trace, one a
+  // healthy trace. The huge session's CLOSE carries the structured
+  // error; the healthy one's artifacts equal a serial replay, and the
+  // daemon keeps serving.
+  std::string Path = tempPath("dhuge.orpt");
+  recordTrace("list-traversal", Path);
+  SessionArtifacts Serial = serialArtifacts(Path);
+
+  DaemonFixture Fixture("dhuge");
+  ASSERT_TRUE(Fixture.started());
+
+  traceio::TraceReader Good, Huge;
+  ASSERT_TRUE(Good.open(Path)) << Good.error();
+  ASSERT_TRUE(Huge.open(kHugeOffsetTrace)) << Huge.error();
+
+  session::Client GoodClient, HugeClient;
+  std::string Err;
+  ASSERT_TRUE(GoodClient.connect(Fixture.socketPath(), Err)) << Err;
+  ASSERT_TRUE(HugeClient.connect(Fixture.socketPath(), Err)) << Err;
+  uint64_t GoodId = 0, HugeId = 0;
+  ASSERT_TRUE(openOver(GoodClient, Good, "dhuge_good", GoodId, Err)) << Err;
+  ASSERT_TRUE(openOver(HugeClient, Huge, "dhuge_bad", HugeId, Err)) << Err;
+  for (size_t I = 0; I != Good.numEventBlocks(); ++I) {
+    ASSERT_TRUE(GoodClient.submitBlock(GoodId, Good.rawBlock(I),
+                                       Good.info().Version, Err))
+        << Err;
+    if (I == 0) {
+      ASSERT_TRUE(HugeClient.submitTrace(HugeId, Huge, Err)) << Err;
+      session::CloseSummary HugeSummary;
+      ASSERT_TRUE(HugeClient.closeSession(HugeId, HugeSummary, Err)) << Err;
+      EXPECT_TRUE(HugeSummary.Failed);
+      EXPECT_EQ(HugeSummary.Error,
+                std::string("dhuge_bad: ") + kUnstorableOffset);
+      EXPECT_TRUE(HugeSummary.Omsg.empty());
+    }
+  }
+
+  session::CloseSummary GoodSummary;
+  ASSERT_TRUE(GoodClient.closeSession(GoodId, GoodSummary, Err)) << Err;
+  EXPECT_FALSE(GoodSummary.Failed) << GoodSummary.Error;
+  EXPECT_EQ(GoodSummary.Omsg, Serial.Omsg);
+  EXPECT_EQ(GoodSummary.Leap, Serial.Leap);
+
+  // The same connection still opens and finishes a new session.
+  uint64_t AgainId = 0;
+  ASSERT_TRUE(openOver(HugeClient, Good, "dhuge_again", AgainId, Err)) << Err;
+  ASSERT_TRUE(HugeClient.submitTrace(AgainId, Good, Err)) << Err;
+  session::CloseSummary Again;
+  ASSERT_TRUE(HugeClient.closeSession(AgainId, Again, Err)) << Err;
+  EXPECT_FALSE(Again.Failed) << Again.Error;
+  EXPECT_EQ(Again.Omsg, Serial.Omsg);
   std::remove(Path.c_str());
 }
 

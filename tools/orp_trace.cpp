@@ -81,8 +81,6 @@ int usage(const char *Argv0) {
       "(default FILE: <workload>.orpt)\n"
       "         [--block-bytes=N]                    target event-block "
       "payload size\n"
-      "         [--format-version=1|2]               .orpt encoding "
-      "(default 2, columnar)\n"
       "  replay <file> [--profiler=whomp|leap|rasg] [--lmads=N] "
       "[--threads=N]\n"
       "         [--dump-omsg=FILE] [--dump-leap=FILE]  re-drive profilers "
@@ -274,25 +272,12 @@ int cmdRecord(int Argc, char **Argv) {
   memsim::AllocPolicy Policy = memsim::AllocPolicy::FirstFit;
   uint64_t Seed = 42, EnvSeed = 0, Scale = 1;
   uint64_t BlockBytes = traceio::TraceWriter::kDefaultBlockBytes;
-  unsigned FormatVersion = traceio::kFormatVersion;
   for (int I = 0; I != Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "-o" && I + 1 != Argc) {
       OutPath = Argv[++I];
     } else if (const char *V = flagValue(Arg, "--out=")) {
       OutPath = V;
-    } else if (const char *V = flagValue(Arg, "--format-version=")) {
-      if (!numericFlag("orp-trace record", "--format-version", V,
-                       FormatVersion))
-        return 1;
-      if (FormatVersion < traceio::kFormatVersionV1 ||
-          FormatVersion > traceio::kFormatVersionV2) {
-        logMessage(LogLevel::Error,
-                   "orp-trace record: --format-version expects 1 or 2, "
-                   "got '%s'",
-                   V);
-        return 1;
-      }
     } else if (const char *V = flagValue(Arg, "--alloc=")) {
       if (!parseAllocPolicy(V, Policy)) {
         logMessage(LogLevel::Error, "orp-trace: unknown alloc policy '%s'",
@@ -342,8 +327,7 @@ int cmdRecord(int Argc, char **Argv) {
 
   core::ProfilingSession Session(Policy, EnvSeed);
   traceio::TraceWriter Writer(OutPath, Session.registry(), Policy, EnvSeed,
-                              static_cast<size_t>(BlockBytes),
-                              static_cast<uint8_t>(FormatVersion));
+                              static_cast<size_t>(BlockBytes));
   if (!Writer.ok()) {
     logMessage(LogLevel::Error, "orp-trace: %s", Writer.error().c_str());
     return 1;
@@ -364,7 +348,7 @@ int cmdRecord(int Argc, char **Argv) {
               "%.2f bytes/event), checksum %llu\n",
               Workload->name(),
               static_cast<unsigned long long>(Writer.eventsWritten()),
-              OutPath.c_str(), FormatVersion,
+              OutPath.c_str(), unsigned{traceio::kFormatVersion},
               static_cast<unsigned long long>(Writer.bytesWritten()),
               Writer.eventsWritten()
                   ? static_cast<double>(Writer.bytesWritten()) /
@@ -532,6 +516,10 @@ int cmdReplay(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Next));
   }
   session::SessionArtifacts Artifacts = Session.finalize();
+  if (Artifacts.Failed) {
+    logMessage(LogLevel::Error, "orp-trace: %s", Artifacts.Error.c_str());
+    return 1;
+  }
   std::printf("%s: replayed %llu events (%llu instr sites, %llu alloc "
               "sites, alloc policy %s, env seed %llu)\n",
               Path.c_str(),
@@ -576,6 +564,14 @@ int cmdReplay(int Argc, char **Argv) {
                   Artifacts.Leap.size());
     }
   } else {
+    // Instruction ids are 32-bit; only addresses can reach 2^63.
+    if (!Rasg.addressGrammar().fitsImage()) {
+      logMessage(LogLevel::Error,
+                 "orp-trace: %s: RASG address grammar: a terminal of 2^63 "
+                 "or more does not fit the grammar image",
+                 Path.c_str());
+      return 1;
+    }
     std::printf("RASG: %llu accesses, %zu bytes\n",
                 static_cast<unsigned long long>(Rasg.accessesSeen()),
                 Rasg.serializedSizeBytes());
@@ -680,6 +676,10 @@ int cmdStats(int Argc, char **Argv) {
     return 1;
   }
   session::SessionArtifacts Artifacts = Session.finalize();
+  if (Artifacts.Failed) {
+    logMessage(LogLevel::Error, "orp-trace: %s", Artifacts.Error.c_str());
+    return 1;
+  }
 
   // Run the hot/cold classifier over the finished profiles and publish
   // the advisor.* gauges so the snapshot shows advice counts alongside
@@ -747,24 +747,16 @@ int cmdInfo(int Argc, char **Argv) {
   std::vector<traceio::TraceReader::BlockStats> Blocks = Reader.blockStats();
   std::vector<BlockKinds> Kinds(Blocks.size());
   uint64_t Accesses = 0, Allocs = 0, Frees = 0;
-  std::vector<traceio::TraceEvent> Events;
+  traceio::DecodedBlock Block;
   for (size_t B = 0; B != Blocks.size(); ++B) {
-    if (!Reader.decodeBlockEvents(B, Events)) {
+    if (!Reader.decodeBlockColumns(B, Block)) {
       logMessage(LogLevel::Error, "orp-trace: %s", Reader.error().c_str());
       return 1;
     }
-    for (const traceio::TraceEvent &E : Events)
-      switch (E.K) {
-      case traceio::TraceEvent::Kind::Access:
-        ++Kinds[B].Accesses;
-        break;
-      case traceio::TraceEvent::Kind::Alloc:
-        ++Kinds[B].Allocs;
-        break;
-      case traceio::TraceEvent::Kind::Free:
-        ++Kinds[B].Frees;
-        break;
-      }
+    Kinds[B].Accesses = Block.Accesses.size();
+    for (const traceio::DecodedBlock::Boundary &Bd : Block.Boundaries)
+      ++(Bd.E.K == traceio::TraceEvent::Kind::Alloc ? Kinds[B].Allocs
+                                                    : Kinds[B].Frees);
     Accesses += Kinds[B].Accesses;
     Allocs += Kinds[B].Allocs;
     Frees += Kinds[B].Frees;
