@@ -9,10 +9,10 @@
 /// The single-session profiling engine: one wired pipeline (OMC + CDC +
 /// the enabled profilers) fed by still-encoded .orpt event blocks, a
 /// whole trace file, or a live workload, and finalized into detached
-/// profile artifacts. Every front end — `orp-trace replay`, the
-/// orp-traced daemon, `orp_profile` — drives this same class, which is
-/// what makes their profiles byte-identical: the pipeline never learns
-/// where its events came from.
+/// profile artifacts. Every front end — `orp-trace replay`/`stats`, the
+/// orp-traced daemon, perfbench's live setup — drives this same class,
+/// which is what makes their profiles byte-identical: the pipeline never
+/// learns where its events came from.
 ///
 /// A ProfileSession is strictly single-threaded: whoever owns it (the
 /// CLI main thread, or exactly one SessionManager shard worker) calls

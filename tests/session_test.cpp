@@ -274,12 +274,15 @@ TEST(SessionManagerTest, FullIngestQueueReportsWouldBlock) {
   SessionId Id = openFor(Mgr, Reader, "bp");
   uint64_t EpisodesBefore = stallEpisodes();
 
-  // Park the (only) shard worker so nothing drains.
+  // Park the (only) shard worker so nothing drains. Wait until it has
+  // popped the gate item: a pop racing the fill below would drain the
+  // queue to the watermark and clear the stall mid-test.
   support::SpscQueue<int> Gate(1);
   ASSERT_EQ(Mgr.submitGate(Id, &Gate), SubmitStatus::Ok);
+  while (ingestDepth("bp") != 0) {
+  }
 
-  // With the worker parked, at most capacity + 1 blocks fit (one slot
-  // frees once the worker pops the gate item itself); then WouldBlock.
+  // With the worker parked, exactly capacity blocks fit; then WouldBlock.
   size_t Accepted = 0;
   while (Accepted < Reader.numEventBlocks()) {
     SubmitStatus St = offerBlock(Mgr, Id, Reader, Accepted);
@@ -288,8 +291,7 @@ TEST(SessionManagerTest, FullIngestQueueReportsWouldBlock) {
     ASSERT_EQ(St, SubmitStatus::Ok);
     ++Accepted;
   }
-  EXPECT_GE(Accepted, Config.IngestQueueCapacity - 1);
-  EXPECT_LE(Accepted, Config.IngestQueueCapacity + 1);
+  EXPECT_EQ(Accepted, Config.IngestQueueCapacity);
   // Refused retries belong to the same episode: one stall, counted once.
   EXPECT_EQ(offerBlock(Mgr, Id, Reader, Accepted), SubmitStatus::WouldBlock);
   EXPECT_EQ(offerBlock(Mgr, Id, Reader, Accepted), SubmitStatus::WouldBlock);

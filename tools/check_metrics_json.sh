@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 #===- tools/check_metrics_json.sh - MetricsSnapshot JSON schema check ----===#
 #
-# Validates a telemetry snapshot produced by `orp-trace stats --metrics=...`,
-# `orp-trace replay --metrics=...` or `orp_profile --metrics=...` against
-# the version-1 exporter layout (src/telemetry/Snapshot.h):
+# Validates a telemetry snapshot produced by `orp-trace stats --metrics=...`
+# or `orp-trace replay --metrics=...` against the version-1 exporter
+# layout (src/telemetry/Snapshot.h):
 #
 #   {"version":1,
 #    "counters":{name:uint,...},

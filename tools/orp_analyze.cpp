@@ -737,7 +737,7 @@ void checkRawThread(const std::vector<SourceFile> &Files) {
 }
 
 //===----------------------------------------------------------------------===//
-// iostream ban (orp-lint R8's compiled twin)
+// iostream ban (orp-lint R8)
 //===----------------------------------------------------------------------===//
 
 void checkIostream(const std::vector<SourceFile> &Files) {

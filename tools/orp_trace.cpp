@@ -8,7 +8,7 @@
 //   orp-trace record <workload> [-o FILE] [--alloc=POLICY] [--seed=N]
 //                    [--env=N] [--scale=N] [--block-bytes=N]
 //   orp-trace replay <file> [--profiler=whomp|leap|rasg] [--lmads=N]
-//                    [--dump-omsg=FILE] [--dump-leap=FILE]
+//                    [--threads=N] [--dump-omsg=FILE] [--dump-leap=FILE]
 //                    [--end-block=N] [--resume-from=CK]
 //                    [--checkpoint-every=N] [--checkpoint-out=PATH]
 //                    [--metrics=PATH|-]
