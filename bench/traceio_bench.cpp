@@ -11,11 +11,11 @@
 
 #include "common/BenchCommon.h"
 #include "core/ProfilingSession.h"
+#include "session/ProfileSession.h"
 #include "support/TablePrinter.h"
 #include "support/Timer.h"
-#include "traceio/TraceReplayer.h"
+#include "traceio/TraceReader.h"
 #include "traceio/TraceWriter.h"
-#include "whomp/Whomp.h"
 #include "workloads/Workload.h"
 
 #include <cstdio>
@@ -121,32 +121,29 @@ int main(int Argc, char **Argv) {
         GzBytes = fileSize(TextPath + ".gz");
     }
 
-    // Replay throughput, bare (decode + inject only).
+    // Replay throughput, bare (decode + inject only), then with a WHOMP
+    // profiler downstream. The clock stops before artifacts are built.
     uint64_t Events = Reader.info().TotalEvents;
-    traceio::TraceReplayer Replayer(Reader);
-    double BareSecs;
-    {
-      auto Fresh = Replayer.makeSession();
+    auto TimeReplay = [&Reader](bool Whomp, double &Secs) {
+      session::SessionConfig Config;
+      Config.Policy =
+          static_cast<memsim::AllocPolicy>(Reader.info().AllocPolicy);
+      Config.Seed = Reader.info().Seed;
+      Config.EnableWhomp = Whomp;
+      Config.EnableLeap = false;
+      session::ProfileSession Fresh("replay", Config);
       Timer Clock;
-      if (!Replayer.replayInto(*Fresh)) {
-        std::fprintf(stderr, "replay failed: %s\n", Replayer.error().c_str());
-        return 1;
+      if (!Fresh.replayFrom(Reader)) {
+        std::fprintf(stderr, "replay failed: %s\n", Fresh.error().c_str());
+        return false;
       }
-      BareSecs = Clock.seconds();
-    }
-    // Replay throughput with a WHOMP profiler downstream.
-    double WhompSecs;
-    {
-      auto Fresh = Replayer.makeSession();
-      whomp::WhompProfiler Whomp;
-      Fresh->addConsumer(&Whomp);
-      Timer Clock;
-      if (!Replayer.replayInto(*Fresh)) {
-        std::fprintf(stderr, "replay failed: %s\n", Replayer.error().c_str());
-        return 1;
-      }
-      WhompSecs = Clock.seconds();
-    }
+      Fresh.core().finish();
+      Secs = Clock.seconds();
+      return true;
+    };
+    double BareSecs, WhompSecs;
+    if (!TimeReplay(false, BareSecs) || !TimeReplay(true, WhompSecs))
+      return 1;
 
     T.addRow({Name, TablePrinter::fmt(Events), TablePrinter::fmt(OrptBytes),
               TablePrinter::fmt(

@@ -57,10 +57,12 @@ static std::vector<uint8_t> recordSeedTrace() {
     uint64_t Time = 0;
     Writer.onAlloc({Site, /*Addr=*/0x1000, /*Size=*/64, ++Time,
                     /*IsStatic=*/false});
+    std::vector<trace::AccessEvent> Accesses;
     for (uint64_t I = 0; I != 40; ++I) {
-      Writer.onAccess({(I & 1) ? Store : Load, 0x1000 + (I % 8) * 8,
-                       /*Size=*/8, /*IsStore=*/(I & 1) != 0, ++Time});
+      Accesses.push_back({(I & 1) ? Store : Load, 0x1000 + (I % 8) * 8,
+                          /*Size=*/8, /*IsStore=*/(I & 1) != 0, ++Time});
     }
+    Writer.onAccessBatch(Accesses);
     Writer.onFree({0x1000, ++Time});
     Writer.onFinish();
   }

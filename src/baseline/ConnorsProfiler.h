@@ -41,7 +41,7 @@ public:
 
   explicit ConnorsProfiler(size_t WindowSize = DefaultWindowSize);
 
-  void onAccess(const trace::AccessEvent &Event) override;
+  void onAccessBatch(std::span<const trace::AccessEvent> Events) override;
   void onAlloc(const trace::AllocEvent &) override {}
   void onFree(const trace::FreeEvent &) override {}
 

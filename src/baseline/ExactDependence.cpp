@@ -7,19 +7,22 @@
 using namespace orp;
 using namespace orp::baseline;
 
-void ExactDependenceProfiler::onAccess(const trace::AccessEvent &Event) {
-  if (Event.IsStore) {
-    std::vector<trace::InstrId> &Ws = Writers[Event.Addr];
-    if (std::find(Ws.begin(), Ws.end(), Event.Instr) == Ws.end())
-      Ws.push_back(Event.Instr);
-    return;
+void ExactDependenceProfiler::onAccessBatch(
+    std::span<const trace::AccessEvent> Events) {
+  for (const trace::AccessEvent &Event : Events) {
+    if (Event.IsStore) {
+      std::vector<trace::InstrId> &Ws = Writers[Event.Addr];
+      if (std::find(Ws.begin(), Ws.end(), Event.Instr) == Ws.end())
+        Ws.push_back(Event.Instr);
+      continue;
+    }
+    ++LoadExecs[Event.Instr];
+    auto It = Writers.find(Event.Addr);
+    if (It == Writers.end())
+      continue;
+    for (trace::InstrId Store : It->second)
+      ++Conflicts[{Store, Event.Instr}];
   }
-  ++LoadExecs[Event.Instr];
-  auto It = Writers.find(Event.Addr);
-  if (It == Writers.end())
-    return;
-  for (trace::InstrId Store : It->second)
-    ++Conflicts[{Store, Event.Instr}];
 }
 
 analysis::MdfMap ExactDependenceProfiler::mdf() const {

@@ -31,7 +31,7 @@ namespace baseline {
 /// Exact (ground-truth) RAW dependence profiler over raw addresses.
 class ExactDependenceProfiler : public trace::TraceSink {
 public:
-  void onAccess(const trace::AccessEvent &Event) override;
+  void onAccessBatch(std::span<const trace::AccessEvent> Events) override;
   void onAlloc(const trace::AllocEvent &) override {}
   void onFree(const trace::FreeEvent &) override {}
 

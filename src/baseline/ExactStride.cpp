@@ -5,16 +5,19 @@
 using namespace orp;
 using namespace orp::baseline;
 
-void ExactStrideProfiler::onAccess(const trace::AccessEvent &Event) {
-  PerInstr &P = ByInstr[Event.Instr];
-  if (P.HasLast) {
-    int64_t Stride = static_cast<int64_t>(Event.Addr) -
-                     static_cast<int64_t>(P.LastAddr);
-    ++P.StrideCounts[Stride];
-    ++P.Steps;
+void ExactStrideProfiler::onAccessBatch(
+    std::span<const trace::AccessEvent> Events) {
+  for (const trace::AccessEvent &Event : Events) {
+    PerInstr &P = ByInstr[Event.Instr];
+    if (P.HasLast) {
+      int64_t Stride = static_cast<int64_t>(Event.Addr) -
+                       static_cast<int64_t>(P.LastAddr);
+      ++P.StrideCounts[Stride];
+      ++P.Steps;
+    }
+    P.HasLast = true;
+    P.LastAddr = Event.Addr;
   }
-  P.HasLast = true;
-  P.LastAddr = Event.Addr;
 }
 
 analysis::StrideMap

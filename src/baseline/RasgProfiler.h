@@ -30,10 +30,12 @@ namespace baseline {
 /// Raw-address Sequitur grammar profiler.
 class RasgProfiler : public trace::TraceSink {
 public:
-  void onAccess(const trace::AccessEvent &Event) override {
-    AddrGrammar.append(Event.Addr);
-    InstrGrammar.append(Event.Instr);
-    ++Accesses;
+  void onAccessBatch(std::span<const trace::AccessEvent> Events) override {
+    for (const trace::AccessEvent &Event : Events) {
+      AddrGrammar.append(Event.Addr);
+      InstrGrammar.append(Event.Instr);
+      ++Accesses;
+    }
   }
   void onAlloc(const trace::AllocEvent &) override {}
   void onFree(const trace::FreeEvent &) override {}

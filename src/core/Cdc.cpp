@@ -45,8 +45,8 @@ constexpr uint64_t OmcValidateIntervalMutations = 1024;
 
 } // namespace
 
-Cdc::Cdc(omc::ObjectManager &Omc, UnknownAddressPolicy Policy)
-    : Omc(Omc), Policy(Policy),
+Cdc::Cdc(omc::ObjectManager &Omc)
+    : Omc(Omc),
       BatchCounter(telemetry::Registry::global().counter("cdc.batches")),
       Collector(telemetry::Registry::global().addCollector(
           [this](telemetry::Registry &R) {
@@ -100,20 +100,7 @@ bool Cdc::translateEvent(const trace::AccessEvent &Event, OrTuple &Tuple) {
     return true;
   }
   ++Stats.Unknown;
-  if (Policy == UnknownAddressPolicy::Drop)
-    return false;
-  Tuple.Group = WildGroupId;
-  Tuple.Object = 0;
-  Tuple.Offset = Event.Addr;
-  return true;
-}
-
-void Cdc::onAccess(const trace::AccessEvent &Event) {
-  OrTuple Tuple;
-  if (!translateEvent(Event, Tuple))
-    return;
-  for (OrTupleConsumer *Consumer : Consumers)
-    Consumer->consume(Tuple);
+  return false;
 }
 
 void Cdc::onAccessBatch(std::span<const trace::AccessEvent> Events) {

@@ -26,34 +26,24 @@
 namespace orp {
 namespace core {
 
-/// What the CDC does with accesses to addresses that no live object
-/// covers (stack and foreign addresses; the paper "chose not to profile"
-/// stack variables).
-enum class UnknownAddressPolicy {
-  Drop,      ///< Count and skip the access.
-  WildGroup, ///< Attribute it to a distinguished pseudo-group.
-};
-
 /// CDC counters.
 struct CdcStats {
   uint64_t Translated = 0; ///< Accesses forwarded object-relatively.
-  uint64_t Unknown = 0;    ///< Accesses to unmapped addresses.
+  /// Accesses to addresses no live object covers (stack and foreign
+  /// addresses; the paper "chose not to profile" stack variables). They
+  /// are counted and dropped.
+  uint64_t Unknown = 0;
 };
 
 /// Control & decomposition component: a TraceSink that translates raw
 /// accesses through an ObjectManager and feeds OrTuple consumers.
 class Cdc : public trace::TraceSink {
 public:
-  /// Pseudo-group used by UnknownAddressPolicy::WildGroup.
-  static constexpr omc::GroupId WildGroupId = ~static_cast<omc::GroupId>(0);
-
-  explicit Cdc(omc::ObjectManager &Omc,
-               UnknownAddressPolicy Policy = UnknownAddressPolicy::Drop);
+  explicit Cdc(omc::ObjectManager &Omc);
 
   /// Adds \p Consumer (not owned) to the object-relative output.
   void addConsumer(OrTupleConsumer *Consumer);
 
-  void onAccess(const trace::AccessEvent &Event) override;
   /// Translates the whole batch through the OMC before fanning out: the
   /// per-instruction MRU cache stays hot across the run, and consumers
   /// receive one consumeBatch() call instead of N virtual consume()s.
@@ -74,7 +64,7 @@ public:
 
 private:
   /// Translates \p Event into \p Tuple. Returns false when the address
-  /// is unknown and the policy says to drop the access.
+  /// is unknown, so the access is dropped.
   bool translateEvent(const trace::AccessEvent &Event, OrTuple &Tuple);
 
   /// Level-2 checked builds only: runs OmcValidator over the object
@@ -83,7 +73,6 @@ private:
   void validateOmc(const char *When) const;
 
   omc::ObjectManager &Omc;
-  UnknownAddressPolicy Policy;
   std::vector<OrTupleConsumer *> Consumers;
   CdcStats Stats;
   /// Batch-granularity counter (one bump per onAccessBatch — cold

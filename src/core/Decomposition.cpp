@@ -33,16 +33,13 @@ HorizontalDecomposer::HorizontalDecomposer(std::vector<Dimension> Dims,
     // until finish(). Chunks are appended via appendBatch so the
     // grammar state stays hot across the whole chunk.
     Pending.resize(this->Dims.size());
-    Workers.reserve(this->Dims.size());
     for (size_t I = 0; I != this->Dims.size(); ++I) {
       Pending[I].reserve(ThreadChunkSymbols);
       StreamCompressor *Compressor = Compressors[I].get();
-      Workers.push_back(
-          std::make_unique<support::QueueWorker<std::vector<uint64_t>>>(
-              ThreadQueueDepth, [Compressor](std::vector<uint64_t> &Chunk) {
-                Compressor->appendBatch(std::span<const uint64_t>(
-                    Chunk.data(), Chunk.size()));
-              }));
+      Workers.add(ThreadQueueDepth, [Compressor](std::vector<uint64_t> &Chunk) {
+        Compressor->appendBatch(
+            std::span<const uint64_t>(Chunk.data(), Chunk.size()));
+      });
     }
   }
 }
@@ -55,9 +52,7 @@ HorizontalDecomposer::~HorizontalDecomposer() {
   if (!threaded())
     return;
   flushPending();
-  for (auto &Worker : Workers)
-    Worker->finish();
-  Workers.clear();
+  Workers.finish();
 }
 
 void HorizontalDecomposer::flushPending() {
@@ -69,22 +64,13 @@ void HorizontalDecomposer::flushPending() {
     Chunk.swap(Pending[I]);
     // Workers only close in finish()/the destructor, after the last
     // flush — a refused chunk here would silently drop symbols.
-    if (!Workers[I]->submit(std::move(Chunk)))
+    if (!Workers[I].submit(std::move(Chunk)))
       ORP_FATAL_ERROR("decompose: dimension worker closed mid-stream");
   }
 }
 
 void HorizontalDecomposer::consume(const OrTuple &Tuple) {
-  if (!threaded()) {
-    for (size_t I = 0; I != Dims.size(); ++I)
-      Compressors[I]->append(dimensionValue(Tuple, Dims[I]));
-    return;
-  }
-  for (size_t I = 0; I != Dims.size(); ++I)
-    Pending[I].push_back(dimensionValue(Tuple, Dims[I]));
-  // All dimensions fill in lock step, so checking one suffices.
-  if (Pending[0].size() >= ThreadChunkSymbols)
-    flushPending();
+  consumeBatch(std::span<const OrTuple>(&Tuple, 1));
 }
 
 void HorizontalDecomposer::consumeBatch(std::span<const OrTuple> Tuples) {
@@ -104,6 +90,7 @@ void HorizontalDecomposer::consumeBatch(std::span<const OrTuple> Tuples) {
     for (const OrTuple &Tuple : Tuples)
       Pending[I].push_back(dimensionValue(Tuple, D));
   }
+  // All dimensions fill in lock step, so checking one suffices.
   if (Pending[0].size() >= ThreadChunkSymbols)
     flushPending();
 }
@@ -111,31 +98,10 @@ void HorizontalDecomposer::consumeBatch(std::span<const OrTuple> Tuples) {
 void HorizontalDecomposer::finish() {
   if (threaded()) {
     flushPending();
-    for (auto &Worker : Workers)
-      Worker->finish(); // Drains the queue and joins.
-    captureWorkerStats();
-    Workers.clear();    // Compressors are ours again (threaded() false).
+    Workers.finish(); // Drains, joins: the compressors are ours again.
   }
   for (auto &Compressor : Compressors)
     Compressor->finish();
-}
-
-void HorizontalDecomposer::captureWorkerStats() {
-  FinalWorkerStats.clear();
-  FinalWorkerStats.reserve(Workers.size());
-  for (const auto &Worker : Workers)
-    FinalWorkerStats.push_back(Worker->telemetry());
-}
-
-std::vector<support::WorkerTelemetry>
-HorizontalDecomposer::workerTelemetry() const {
-  if (!threaded())
-    return FinalWorkerStats;
-  std::vector<support::WorkerTelemetry> Stats;
-  Stats.reserve(Workers.size());
-  for (const auto &Worker : Workers)
-    Stats.push_back(Worker->telemetry());
-  return Stats;
 }
 
 const StreamCompressor &
@@ -163,22 +129,19 @@ VerticalDecomposer::VerticalDecomposer(Factory MakeSubstream,
   // substream sees its tuples in exactly the serial (FIFO) order.
   Shards.resize(Threads);
   PendingTuples.resize(Threads);
-  Workers.reserve(Threads);
   for (unsigned S = 0; S != Threads; ++S) {
     PendingTuples[S].reserve(ThreadChunkTuples);
     SubstreamMap *Shard = &Shards[S];
     Factory *Make = &this->MakeSubstream;
-    Workers.push_back(
-        std::make_unique<support::QueueWorker<std::vector<OrTuple>>>(
-            ThreadQueueDepth, [Shard, Make](std::vector<OrTuple> &Chunk) {
-              for (const OrTuple &Tuple : Chunk) {
-                VerticalKey Key{Tuple.Instr, Tuple.Group};
-                auto It = Shard->find(Key);
-                if (It == Shard->end())
-                  It = Shard->emplace(Key, (*Make)(Key)).first;
-                It->second->append(Tuple);
-              }
-            }));
+    Workers.add(ThreadQueueDepth, [Shard, Make](std::vector<OrTuple> &Chunk) {
+      for (const OrTuple &Tuple : Chunk) {
+        VerticalKey Key{Tuple.Instr, Tuple.Group};
+        auto It = Shard->find(Key);
+        if (It == Shard->end())
+          It = Shard->emplace(Key, (*Make)(Key)).first;
+        It->second->append(Tuple);
+      }
+    });
   }
 }
 
@@ -191,11 +154,9 @@ VerticalDecomposer::~VerticalDecomposer() {
     return;
   for (size_t S = 0; S != Workers.size(); ++S)
     if (!PendingTuples[S].empty() &&
-        !Workers[S]->submit(std::move(PendingTuples[S])))
+        !Workers[S].submit(std::move(PendingTuples[S])))
       ORP_FATAL_ERROR("decompose: substream shard closed mid-stream");
-  for (auto &Worker : Workers)
-    Worker->finish();
-  Workers.clear();
+  Workers.finish();
 }
 
 void VerticalDecomposer::consume(const OrTuple &Tuple) {
@@ -207,7 +168,7 @@ void VerticalDecomposer::consume(const OrTuple &Tuple) {
       std::vector<OrTuple> Chunk;
       Chunk.reserve(ThreadChunkTuples);
       Chunk.swap(PendingTuples[S]);
-      if (!Workers[S]->submit(std::move(Chunk)))
+      if (!Workers[S].submit(std::move(Chunk)))
         ORP_FATAL_ERROR("decompose: substream shard closed mid-stream");
     }
     return;
@@ -224,12 +185,9 @@ void VerticalDecomposer::finish() {
     return;
   for (size_t S = 0; S != Workers.size(); ++S)
     if (!PendingTuples[S].empty() &&
-        !Workers[S]->submit(std::move(PendingTuples[S])))
+        !Workers[S].submit(std::move(PendingTuples[S])))
       ORP_FATAL_ERROR("decompose: substream shard closed mid-stream");
-  for (auto &Worker : Workers)
-    Worker->finish(); // Drains the queue and joins.
-  captureWorkerStats();
-  Workers.clear();
+  Workers.finish(); // Drains the queues and joins.
   PendingTuples.clear();
   // Hash routing makes the shard key sets disjoint, so merging into the
   // ordered map yields the same Substreams for any worker count.
@@ -251,20 +209,14 @@ VerticalDecomposer::lookup(const VerticalKey &Key) const {
   return It == Substreams.end() ? nullptr : It->second.get();
 }
 
-void VerticalDecomposer::captureWorkerStats() {
-  FinalWorkerStats.clear();
-  FinalWorkerStats.reserve(Workers.size());
-  for (const auto &Worker : Workers)
-    FinalWorkerStats.push_back(Worker->telemetry());
-}
-
-std::vector<support::WorkerTelemetry>
-VerticalDecomposer::workerTelemetry() const {
-  if (!threaded())
-    return FinalWorkerStats;
-  std::vector<support::WorkerTelemetry> Stats;
-  Stats.reserve(Workers.size());
-  for (const auto &Worker : Workers)
-    Stats.push_back(Worker->telemetry());
-  return Stats;
+void orp::core::publishWorkerGauges(telemetry::Registry &R,
+                                    const std::string &Prefix,
+                                    const support::WorkerTelemetry &T) {
+  R.gauge(Prefix + "queue_depth").set(static_cast<int64_t>(T.Queue.Depth));
+  R.gauge(Prefix + "queue_high_watermark")
+      .set(static_cast<int64_t>(T.Queue.HighWatermark));
+  R.gauge(Prefix + "queue_pushes").set(static_cast<int64_t>(T.Queue.Pushes));
+  R.gauge(Prefix + "queue_push_stalls")
+      .set(static_cast<int64_t>(T.Queue.PushStalls));
+  R.gauge(Prefix + "busy_ns").set(static_cast<int64_t>(T.BusyNanos));
 }

@@ -30,10 +30,12 @@
 #include "core/ObjectRelative.h"
 #include "core/StreamCompressor.h"
 #include "support/WorkerPool.h"
+#include "telemetry/Registry.h"
 
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace orp {
@@ -89,15 +91,13 @@ public:
   /// parallel to dimensions(). Live workers are sampled in place; after
   /// finish() the final values captured at join time are returned.
   /// Empty in serial mode.
-  std::vector<support::WorkerTelemetry> workerTelemetry() const;
+  std::vector<support::WorkerTelemetry> workerTelemetry() const {
+    return Workers.telemetry();
+  }
 
 private:
   /// Hands every dimension's pending chunk to its worker.
   void flushPending();
-
-  /// Captures every worker's final counters; call just before
-  /// Workers.clear() so the numbers survive the join.
-  void captureWorkerStats();
 
   std::vector<Dimension> Dims;
   std::vector<std::unique_ptr<StreamCompressor>> Compressors;
@@ -105,13 +105,9 @@ private:
   std::vector<uint64_t> SymbolBatch;
   /// One worker per dimension (empty in serial mode), parallel to
   /// Compressors. Workers are joined by finish() and the destructor.
-  std::vector<std::unique_ptr<support::QueueWorker<std::vector<uint64_t>>>>
-      Workers;
+  support::WorkerGroup<std::vector<uint64_t>> Workers;
   /// Per-dimension symbol chunks being filled by the producer.
   std::vector<std::vector<uint64_t>> Pending;
-  /// Worker counters captured at join time (workerTelemetry() serves
-  /// these once Workers is cleared).
-  std::vector<support::WorkerTelemetry> FinalWorkerStats;
 };
 
 /// Key of one vertical substream. The paper decomposes by instruction,
@@ -201,12 +197,11 @@ public:
   /// Returns per-shard worker counters (queue traffic + busy time).
   /// Live workers are sampled in place; after finish() the final values
   /// captured at join time are returned. Empty in serial mode.
-  std::vector<support::WorkerTelemetry> workerTelemetry() const;
+  std::vector<support::WorkerTelemetry> workerTelemetry() const {
+    return Workers.telemetry();
+  }
 
 private:
-  /// Captures every worker's final counters; call just before
-  /// Workers.clear() so the numbers survive the join.
-  void captureWorkerStats();
   using SubstreamMap =
       std::map<VerticalKey, std::unique_ptr<SubstreamConsumer>>;
 
@@ -224,12 +219,15 @@ private:
   std::vector<std::vector<OrTuple>> PendingTuples;
   /// One worker per shard (empty in serial mode). Joined by finish()
   /// and the destructor.
-  std::vector<std::unique_ptr<support::QueueWorker<std::vector<OrTuple>>>>
-      Workers;
-  /// Worker counters captured at join time (workerTelemetry() serves
-  /// these once Workers is cleared).
-  std::vector<support::WorkerTelemetry> FinalWorkerStats;
+  support::WorkerGroup<std::vector<OrTuple>> Workers;
 };
+
+/// Publishes one decomposer worker's counters as the gauges
+/// <Prefix>queue_depth, queue_high_watermark, queue_pushes,
+/// queue_push_stalls and busy_ns (the whomp.worker.<dim>.* and
+/// leap.worker.<shard>.* families).
+void publishWorkerGauges(telemetry::Registry &R, const std::string &Prefix,
+                         const support::WorkerTelemetry &T);
 
 } // namespace core
 } // namespace orp

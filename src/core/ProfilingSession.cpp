@@ -5,8 +5,7 @@
 using namespace orp;
 using namespace orp::core;
 
-ProfilingSession::ProfilingSession(memsim::AllocPolicy Policy, uint64_t Seed,
-                                   UnknownAddressPolicy Unknown)
-    : Translator(Omc, Unknown), Memory(Policy, Seed) {
+ProfilingSession::ProfilingSession(memsim::AllocPolicy Policy, uint64_t Seed)
+    : Translator(Omc), Memory(Policy, Seed) {
   Memory.attachSink(&Translator);
 }

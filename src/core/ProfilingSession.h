@@ -32,8 +32,7 @@ public:
   /// the simulated heap of this run.
   explicit ProfilingSession(
       memsim::AllocPolicy Policy = memsim::AllocPolicy::FirstFit,
-      uint64_t Seed = 0,
-      UnknownAddressPolicy Unknown = UnknownAddressPolicy::Drop);
+      uint64_t Seed = 0);
 
   /// The instrumented runtime the workload executes against.
   trace::MemoryInterface &memory() { return Memory; }

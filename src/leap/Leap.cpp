@@ -32,20 +32,9 @@ LeapProfiler::LeapProfiler(unsigned MaxLmads, unsigned Threads)
                   .set(static_cast<int64_t>(Decomposer.numSubstreams()));
             std::vector<support::WorkerTelemetry> WT =
                 Decomposer.workerTelemetry();
-            for (size_t I = 0; I != WT.size(); ++I) {
-              std::string P =
-                  "leap.worker." + std::to_string(I) + ".";
-              R.gauge(P + "queue_depth")
-                  .set(static_cast<int64_t>(WT[I].Queue.Depth));
-              R.gauge(P + "queue_high_watermark")
-                  .set(static_cast<int64_t>(WT[I].Queue.HighWatermark));
-              R.gauge(P + "queue_pushes")
-                  .set(static_cast<int64_t>(WT[I].Queue.Pushes));
-              R.gauge(P + "queue_push_stalls")
-                  .set(static_cast<int64_t>(WT[I].Queue.PushStalls));
-              R.gauge(P + "busy_ns")
-                  .set(static_cast<int64_t>(WT[I].BusyNanos));
-            }
+            for (size_t I = 0; I != WT.size(); ++I)
+              core::publishWorkerGauges(
+                  R, "leap.worker." + std::to_string(I) + ".", WT[I]);
           })) {}
 
 void LeapProfiler::consume(const core::OrTuple &Tuple) {

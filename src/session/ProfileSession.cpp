@@ -5,9 +5,11 @@
 #include "leap/LeapProfileData.h"
 #include "omc/OmcCheckpoint.h"
 #include "support/ArtifactFrame.h"
+#include "support/SpscQueue.h"
 #include "support/VarInt.h"
+#include "support/WorkerPool.h"
+#include "telemetry/Registry.h"
 #include "traceio/BlockCodec.h"
-#include "traceio/TraceReplayer.h"
 #include "whomp/OmsgArchive.h"
 
 #include <algorithm>
@@ -84,25 +86,97 @@ bool ProfileSession::replayFrom(
     traceio::TraceReader &Reader, unsigned DecodeThreads,
     uint64_t FirstBlock, uint64_t EndBlock,
     const std::function<void(uint64_t)> &BlockDone) {
-  traceio::TraceReplayer Replayer(Reader);
-  Replayer.setThreads(DecodeThreads);
-  size_t End = ~static_cast<size_t>(0);
-  if (EndBlock < End)
-    End = static_cast<size_t>(EndBlock);
-  Replayer.setBlockRange(static_cast<size_t>(FirstBlock), End);
-  if (BlockDone)
-    Replayer.setBlockCallback(
-        [&BlockDone](size_t Next) { BlockDone(Next); });
-  // finalize() finishes the pipeline exactly once, whichever path fed
-  // it; the replayer must not finish it early.
-  if (!Replayer.replayInto(*Core, /*CallFinish=*/false)) {
-    Events += Replayer.eventsReplayed();
+  // A ranged or resumed replay calls this once per segment; the probe
+  // tables go in with the first.
+  const trace::InstructionRegistry &Registry = Core->registry();
+  if (Registry.numInstructions() == 0 && Registry.numAllocSites() == 0)
+    registerProbeTables(Reader.instructions(), Reader.allocSites());
+
+  trace::MemoryInterface &Memory = Core->memory();
+  telemetry::Registry &Reg = telemetry::Registry::global();
+  telemetry::ScopedTimer ReplayTiming(Reg.timer("replay.total"));
+  uint64_t Replayed = 0;
+
+  // Replay covers blocks [B0, B1); checkpoint/resume callers restrict
+  // the range, everything else replays the whole trace.
+  const uint64_t NumBlocks = Reader.numEventBlocks();
+  const uint64_t B0 = FirstBlock < NumBlocks ? FirstBlock : NumBlocks;
+  const uint64_t B1 =
+      EndBlock < B0 ? B0 : (EndBlock < NumBlocks ? EndBlock : NumBlocks);
+
+  // Every block, of either format version, decodes into a DecodedBlock
+  // and every between-boundaries run of accesses is injected as one
+  // span — whole-slice onAccessBatch fan-out instead of per-event
+  // virtual dispatch. A corrupt block is never partly injected.
+  bool Ok = true;
+  if (DecodeThreads <= 1 || B1 - B0 < 2) {
+    traceio::DecodedBlock Block;
+    for (uint64_t B = B0; B != B1; ++B) {
+      if (!Reader.decodeBlockColumns(B, Block)) {
+        Ok = false;
+        break;
+      }
+      Replayed += traceio::injectDecodedBlock(Memory, Block);
+      if (BlockDone)
+        BlockDone(B + 1);
+    }
+  } else {
+    // Double-buffered replay: a worker decodes blocks ahead through a
+    // bounded queue while this thread injects. Block order is queue
+    // order, so event delivery order — and every downstream profile —
+    // is identical to the serial path. The sinks are not thread-safe;
+    // they are only ever touched from this thread.
+    support::SpscQueue<traceio::DecodedBlock> Decoded(DecodeQueueDepth);
+    // Written by the decoder only; join() publishes it to this thread.
+    bool DecodeOk = true;
+    support::ScopedThread Decoder([&Reader, &Decoded, &DecodeOk, B0, B1] {
+      traceio::DecodedBlock Block;
+      for (uint64_t B = B0; B != B1; ++B) {
+        if (!Reader.decodeBlockColumns(B, Block)) {
+          DecodeOk = false;
+          break;
+        }
+        if (!Decoded.push(std::move(Block)))
+          break; // Queue closed: the consumer is gone, stop decoding.
+        Block = traceio::DecodedBlock();
+      }
+      // Blocks decoded before a corrupt one are injected, as serially.
+      Decoded.close();
+    });
+    traceio::DecodedBlock Block;
+    // Blocks arrive in decode order, so the consumer's count names
+    // the block just injected; the callback runs on this (injecting)
+    // thread, as the session is single-threaded.
+    uint64_t NextBlock = B0;
+    while (Decoded.pop(Block)) {
+      Replayed += traceio::injectDecodedBlock(Memory, Block);
+      ++NextBlock;
+      if (BlockDone)
+        BlockDone(NextBlock);
+    }
+    Decoder.join();
+    // Publish the decode-ahead queue's final counters: its high
+    // watermark vs capacity says whether the decoder kept ahead of the
+    // injection loop, and PushStalls counts the times it outran us.
+    support::QueueTelemetry QT = Decoded.telemetry();
+    Reg.gauge("replay.decode_queue.capacity")
+        .set(static_cast<int64_t>(QT.Capacity));
+    Reg.gauge("replay.decode_queue.high_watermark")
+        .set(static_cast<int64_t>(QT.HighWatermark));
+    Reg.gauge("replay.decode_queue.pushes")
+        .set(static_cast<int64_t>(QT.Pushes));
+    Reg.gauge("replay.decode_queue.push_stalls")
+        .set(static_cast<int64_t>(QT.PushStalls));
+    Ok = DecodeOk;
+  }
+  Reg.counter("replay.events").add(Replayed);
+  // Whole blocks only: a corrupt block delivers none of its events.
+  Events += Replayed;
+  if (!Ok) {
     Failed = true;
     Err = Reader.error();
-    return false;
   }
-  Events += Replayer.eventsReplayed();
-  return true;
+  return Ok;
 }
 
 std::vector<uint8_t>

@@ -114,13 +114,26 @@ public:
                    uint32_t Crc, uint64_t BlockIndex,
                    uint8_t FormatVersion);
 
-  /// Registers \p Reader's probe tables and replays its event blocks
-  /// [\p FirstBlock, \p EndBlock) — the defaults cover the whole trace
-  /// (decode-ahead with \p DecodeThreads > 1; delivery order and
-  /// artifacts are identical either way). \p BlockDone, when set, runs
-  /// on the calling thread after each block with the index of the next
-  /// block — the resume point a checkpoint() taken from inside the
-  /// callback would encode. Returns false on corruption.
+  /// Blocks the decode-ahead thread of replayFrom() may buffer ahead
+  /// of the injecting thread.
+  static constexpr size_t DecodeQueueDepth = 2;
+
+  /// Replays \p Reader's event blocks [\p FirstBlock, \p EndBlock)
+  /// into the pipeline — the defaults cover the whole trace — after
+  /// registering its probe tables (first call only; a ranged or resumed
+  /// replay calls this once per segment). This is the one trace replay
+  /// loop: events arrive in original delivery order with original
+  /// timestamps, so the artifacts are bit-identical to the live run's.
+  /// With \p DecodeThreads > 1 a worker decodes the next blocks while
+  /// this thread injects the current one; delivery order and artifacts
+  /// are identical either way, and the pipeline is only ever touched
+  /// from this thread. \p BlockDone, when set, runs on the calling
+  /// thread after each block with the index of the next block — the
+  /// resume point a checkpoint() taken from inside the callback would
+  /// encode. Times itself as replay.total, counts replay.events and,
+  /// decoding ahead, publishes replay.decode_queue.* gauges. Returns
+  /// false — latching failed()/error() — on corruption; the blocks
+  /// before the corrupt one stay injected.
   bool replayFrom(traceio::TraceReader &Reader, unsigned DecodeThreads = 1,
                   uint64_t FirstBlock = 0,
                   uint64_t EndBlock = ~static_cast<uint64_t>(0),

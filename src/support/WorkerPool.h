@@ -16,8 +16,11 @@
 ///     shards, where the worker *exclusively owns* the state its
 ///     handler mutates — no locks on the append path.
 ///
+///   * WorkerGroup<Item>: the QueueWorkers of one decomposer, finished
+///     together, with their counters kept past the join.
+///
 ///   * ScopedThread: a join-on-destruction thread for producer-side
-///     stages (the TraceReplayer's decode-ahead thread).
+///     stages (ProfileSession::replayFrom's decode-ahead thread).
 ///
 /// This header (with SpscQueue.h) is the only place in the repository
 /// allowed to use std::thread directly; everything else goes through
@@ -36,8 +39,10 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <utility>
+#include <vector>
 
 namespace orp {
 namespace support {
@@ -116,6 +121,48 @@ private:
   Handler Work;
   std::atomic<uint64_t> BusyNs{0};
   std::thread Thread;
+};
+
+/// QueueWorkers that are finished together — one per dimension or shard
+/// of a decomposer — keeping their counters readable past the join.
+template <typename Item> class WorkerGroup {
+public:
+  /// Spawns one more worker; see QueueWorker's constructor.
+  void add(size_t QueueCapacity, typename QueueWorker<Item>::Handler Work) {
+    Workers.push_back(std::make_unique<QueueWorker<Item>>(QueueCapacity,
+                                                          std::move(Work)));
+  }
+
+  bool empty() const { return Workers.empty(); }
+  size_t size() const { return Workers.size(); }
+  QueueWorker<Item> &operator[](size_t I) { return *Workers[I]; }
+
+  /// Drains and joins every worker, keeps their final counters and
+  /// empties the group. Idempotent.
+  void finish() {
+    if (Workers.empty())
+      return;
+    for (auto &Worker : Workers)
+      Worker->finish();
+    Final = telemetry();
+    Workers.clear();
+  }
+
+  /// Per-worker counters, in add() order: sampled live while the
+  /// workers run, the values captured at the join after finish().
+  std::vector<WorkerTelemetry> telemetry() const {
+    if (Workers.empty())
+      return Final;
+    std::vector<WorkerTelemetry> Stats;
+    Stats.reserve(Workers.size());
+    for (const auto &Worker : Workers)
+      Stats.push_back(Worker->telemetry());
+    return Stats;
+  }
+
+private:
+  std::vector<std::unique_ptr<QueueWorker<Item>>> Workers;
+  std::vector<WorkerTelemetry> Final;
 };
 
 /// A thread that joins on destruction (for producer-side stages).

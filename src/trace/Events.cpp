@@ -7,20 +7,7 @@ using namespace orp::trace;
 
 TraceSink::~TraceSink() = default;
 
-void TraceSink::onAccessBatch(std::span<const AccessEvent> Events) {
-  for (const AccessEvent &Event : Events)
-    onAccess(Event);
-}
-
 void TraceSink::onFinish() {}
-
-void CountingSink::onAccess(const AccessEvent &Event) {
-  ++Accesses;
-  if (Event.IsStore)
-    ++Stores;
-  else
-    ++Loads;
-}
 
 void CountingSink::onAccessBatch(std::span<const AccessEvent> Events) {
   Accesses += Events.size();
@@ -34,11 +21,6 @@ void CountingSink::onAccessBatch(std::span<const AccessEvent> Events) {
 void CountingSink::onAlloc(const AllocEvent &) { ++Allocs; }
 
 void CountingSink::onFree(const FreeEvent &) { ++Frees; }
-
-void BufferSink::onAccess(const AccessEvent &Event) {
-  AccessLog.push_back(Event);
-  AccessSeq.push_back(NextSeq++);
-}
 
 void BufferSink::onAccessBatch(std::span<const AccessEvent> Events) {
   AccessLog.insert(AccessLog.end(), Events.begin(), Events.end());
@@ -73,32 +55,14 @@ void BufferSink::replayTo(TraceSink &Sink) const {
       Sink.onFree(FreeLog[FI++]);
       continue;
     }
-    Sink.onAccess(AccessLog[AI++]);
+    // The accesses up to the next alloc/free go out as one batch.
+    uint64_t Stop = LS < FS ? LS : FS;
+    size_t End = AI + 1;
+    while (End < AccessLog.size() && AccessSeq[End] < Stop)
+      ++End;
+    Sink.onAccessBatch(
+        std::span<const AccessEvent>(AccessLog.data() + AI, End - AI));
+    AI = End;
   }
   Sink.onFinish();
-}
-
-void FanoutSink::onAccess(const AccessEvent &Event) {
-  for (TraceSink *Sink : Sinks)
-    Sink->onAccess(Event);
-}
-
-void FanoutSink::onAccessBatch(std::span<const AccessEvent> Events) {
-  for (TraceSink *Sink : Sinks)
-    Sink->onAccessBatch(Events);
-}
-
-void FanoutSink::onAlloc(const AllocEvent &Event) {
-  for (TraceSink *Sink : Sinks)
-    Sink->onAlloc(Event);
-}
-
-void FanoutSink::onFree(const FreeEvent &Event) {
-  for (TraceSink *Sink : Sinks)
-    Sink->onFree(Event);
-}
-
-void FanoutSink::onFinish() {
-  for (TraceSink *Sink : Sinks)
-    Sink->onFinish();
 }

@@ -54,16 +54,14 @@ class TraceSink {
 public:
   virtual ~TraceSink();
 
-  /// Called for every executed load/store.
-  virtual void onAccess(const AccessEvent &Event) = 0;
-
-  /// Called with a run of consecutive accesses. The probe runtime
-  /// (MemoryInterface) buffers accesses and delivers them through this
-  /// entry point, amortizing one virtual dispatch over the whole batch;
-  /// events arrive in execution order and carry their own timestamps.
-  /// Default: forwards each event to onAccess(), so sinks that don't
-  /// care about batching behave exactly as before.
-  virtual void onAccessBatch(std::span<const AccessEvent> Events);
+  /// Called with a run of consecutive loads/stores — the only way
+  /// accesses reach a sink. The probe runtime (MemoryInterface) buffers
+  /// accesses and delivers them here, amortizing one virtual dispatch
+  /// over the whole batch; replay hands each decoded run between two
+  /// alloc/free events over as one span. Events arrive in execution
+  /// order and carry their own timestamps; batch boundaries carry no
+  /// meaning, so a sink's state may depend only on the event order.
+  virtual void onAccessBatch(std::span<const AccessEvent> Events) = 0;
 
   /// Called when an object is created (heap alloc, or statics at startup).
   virtual void onAlloc(const AllocEvent &Event) = 0;
@@ -79,7 +77,6 @@ public:
 /// compression baseline) and as a cheap "native-like" attachment.
 class CountingSink : public TraceSink {
 public:
-  void onAccess(const AccessEvent &Event) override;
   void onAccessBatch(std::span<const AccessEvent> Events) override;
   void onAlloc(const AllocEvent &Event) override;
   void onFree(const FreeEvent &Event) override;
@@ -110,7 +107,6 @@ private:
 /// alloc against a free that reuses its address within the same tick).
 class BufferSink : public TraceSink {
 public:
-  void onAccess(const AccessEvent &Event) override;
   void onAccessBatch(std::span<const AccessEvent> Events) override;
   void onAlloc(const AllocEvent &Event) override;
   void onFree(const FreeEvent &Event) override;
@@ -119,7 +115,9 @@ public:
   const std::vector<AllocEvent> &allocs() const { return AllocLog; }
   const std::vector<FreeEvent> &frees() const { return FreeLog; }
 
-  /// Replays the buffered stream, in original delivery order, into \p Sink.
+  /// Replays the buffered stream, in original delivery order, into
+  /// \p Sink; each maximal run of accesses between two alloc/free
+  /// events arrives as one batch.
   void replayTo(TraceSink &Sink) const;
 
 private:
@@ -131,22 +129,6 @@ private:
   std::vector<uint64_t> AllocSeq;
   std::vector<uint64_t> FreeSeq;
   uint64_t NextSeq = 0;
-};
-
-/// Sink that forwards every event to several downstream sinks.
-class FanoutSink : public TraceSink {
-public:
-  /// Adds \p Sink as a downstream consumer; not owned.
-  void addSink(TraceSink *Sink) { Sinks.push_back(Sink); }
-
-  void onAccess(const AccessEvent &Event) override;
-  void onAccessBatch(std::span<const AccessEvent> Events) override;
-  void onAlloc(const AllocEvent &Event) override;
-  void onFree(const FreeEvent &Event) override;
-  void onFinish() override;
-
-private:
-  std::vector<TraceSink *> Sinks;
 };
 
 } // namespace trace

@@ -37,15 +37,6 @@ void MemoryInterface::flushAccesses() {
   BatchLen = 0;
 }
 
-void MemoryInterface::setBatchCapacity(size_t N) {
-  flushAccesses();
-  if (N < 1)
-    N = 1;
-  if (N > MaxBatchCapacity)
-    N = MaxBatchCapacity;
-  BatchCapacity = N;
-}
-
 uint64_t MemoryInterface::heapAlloc(AllocSiteId Site, uint64_t Size,
                                     uint64_t Align) {
   assert(!Finished && "allocation after finish()");
@@ -99,30 +90,16 @@ uint64_t MemoryInterface::staticAlloc(AllocSiteId Site, uint64_t Size,
   return Addr;
 }
 
-void MemoryInterface::injectAccess(const AccessEvent &Event) {
-  assert(!Finished && "access after finish()");
-  // Replayed accesses ride the same batch buffer as live ones; the
-  // recorded timestamp travels inside the event.
-  if (!Sinks.empty()) {
-    Batch[BatchLen++] = Event;
-    if (BatchLen >= BatchCapacity)
-      flushAccesses();
-  }
-  // Live record() stamps the current clock and then advances it.
-  if (Event.Time + 1 > Clock)
-    Clock = Event.Time + 1;
-}
-
 void MemoryInterface::injectAccessBatch(std::span<const AccessEvent> Events) {
   assert(!Finished && "access after finish()");
   if (Events.empty())
     return;
   if (!Sinks.empty()) {
-    flushAccesses(); // Keep order with any buffered single injections.
+    flushAccesses(); // Keep order with any buffered live accesses.
     for (TraceSink *Sink : Sinks)
       Sink->onAccessBatch(Events);
   }
-  // Same clock rule as injectAccess, applied to the last event.
+  // Live record() stamps the current clock and then advances it.
   if (Events.back().Time + 1 > Clock)
     Clock = Events.back().Time + 1;
 }

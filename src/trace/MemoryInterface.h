@@ -33,18 +33,17 @@ namespace trace {
 
 /// Runtime for one instrumented (simulated) program execution.
 ///
-/// Accesses are not delivered to the sinks one at a time: the probes
-/// buffer into a fixed-size batch which is flushed when full and at
-/// every event that could change the address map (alloc/free/finish).
-/// Sinks therefore see accesses slightly later than they execute —
-/// always in order, always carrying their true timestamps — and a sink
-/// inspected mid-run must be preceded by flushAccesses().
+/// Accesses reach the sinks only as batches (TraceSink::onAccessBatch):
+/// the probes buffer into a fixed-size batch which is flushed when full
+/// and at every event that could change the address map
+/// (alloc/free/finish). Sinks therefore see accesses slightly later than
+/// they execute — always in order, always carrying their true
+/// timestamps — and a sink inspected mid-run must be preceded by
+/// flushAccesses().
 class MemoryInterface {
 public:
-  /// Hard upper bound on the access batch (buffer is allocated inline).
-  static constexpr size_t MaxBatchCapacity = 256;
-  /// Default flush threshold; see bench/perf_components batch sweep.
-  static constexpr size_t DefaultBatchCapacity = 128;
+  /// Accesses buffered before the batch is flushed to the sinks.
+  static constexpr size_t BatchCapacity = 128;
 
   /// Creates a runtime with a heap served by \p Policy. \p Seed models the
   /// environment-dependent layout noise of one particular run.
@@ -71,13 +70,6 @@ public:
   /// finish() flush implicitly; call this before inspecting sink state
   /// mid-run.
   void flushAccesses();
-
-  /// Sets the flush threshold (clamped to [1, MaxBatchCapacity]);
-  /// flushes pending accesses first. 1 reproduces per-event delivery.
-  void setBatchCapacity(size_t N);
-
-  /// Returns the current flush threshold.
-  size_t batchCapacity() const { return BatchCapacity; }
 
   /// Object probe: allocates \p Size heap bytes at allocation site
   /// \p Site. Returns the object's address (0 on simulated OOM).
@@ -111,30 +103,26 @@ public:
   void finish();
 
   /// \name Replay hooks
-  /// Deliver a pre-recorded event verbatim to every attached sink,
+  /// Deliver pre-recorded events verbatim to every attached sink,
   /// bypassing the simulated allocator and the live clock. Used by
-  /// traceio::TraceReplayer to re-drive a session from a trace file;
-  /// the event's recorded timestamp is forwarded unchanged and the
-  /// clock is advanced so now() stays consistent with the recording.
+  /// traceio::injectDecodedBlock to re-drive a session from a trace
+  /// file; recorded timestamps are forwarded unchanged and the clock is
+  /// advanced so now() stays consistent with the recording.
   /// @{
+  /// Delivers a run of pre-recorded accesses as one span: any buffered
+  /// live accesses are flushed first (order is preserved), then the
+  /// span goes to every sink's onAccessBatch directly — no copy through
+  /// the batch buffer, no capacity limit. Sinks see the same stream
+  /// however a run is split into spans, and however live load()/store()
+  /// calls were batched.
+  void injectAccessBatch(std::span<const AccessEvent> Events);
   /// injectFree forwards the recorded free verbatim even when its
   /// address is unknown to the (untouched) simulated heap: the trace is
   /// the authority on what happened, and the OMC already diagnoses
   /// unknown frees downstream (OmcStats::UnknownFrees). Contrast with
   /// heapFree(), which filters unknown frees at the probe.
-  void injectAccess(const AccessEvent &Event);
   void injectAlloc(const AllocEvent &Event);
   void injectFree(const FreeEvent &Event);
-
-  /// Delivers a whole run of pre-recorded accesses as one span: any
-  /// buffered singles are flushed first (order is preserved), then the
-  /// span goes to every sink's onAccessBatch directly — no per-event
-  /// copy through the batch buffer, no capacity limit. The columnar
-  /// (v2) replay path hands each decoded between-boundaries slice here;
-  /// profiles are byte-identical to per-event injection because sinks
-  /// only depend on event order, never on batch boundaries (pinned by
-  /// the batch-capacity sweep tests).
-  void injectAccessBatch(std::span<const AccessEvent> Events);
   /// @}
 
   /// Returns the current value of the global access counter.
@@ -163,9 +151,8 @@ private:
   std::unique_ptr<memsim::SimAllocator> Heap;
   std::vector<TraceSink *> Sinks;
   /// Access batch buffer (see class comment).
-  std::array<AccessEvent, MaxBatchCapacity> Batch;
+  std::array<AccessEvent, BatchCapacity> Batch;
   size_t BatchLen = 0;
-  size_t BatchCapacity = DefaultBatchCapacity;
   /// Global access counter; "a counter starting from 0 at the beginning of
   /// the program and incremented after every collected access" (Sec. 2.2).
   uint64_t Clock = 0;

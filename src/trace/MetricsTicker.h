@@ -38,7 +38,6 @@ public:
       : Interval(IntervalEvents ? IntervalEvents : 1), NextAt(Interval),
         Fn(std::move(Fn)) {}
 
-  void onAccess(const AccessEvent &) override { tick(1); }
   void onAccessBatch(std::span<const AccessEvent> Events) override {
     tick(Events.size());
   }

@@ -47,9 +47,9 @@ namespace traceio {
 /// One decoded event block, shaped for batch injection: every access in
 /// delivery order in one contiguous vector, with the interspersed
 /// alloc/free events split out as boundaries. Both format versions
-/// decode to it. The replayer hands each run of accesses between two
-/// boundaries to MemoryInterface::injectAccessBatch as a single span —
-/// no per-event dispatch.
+/// decode to it. injectDecodedBlock hands each run of accesses between
+/// two boundaries to MemoryInterface::injectAccessBatch as a single
+/// span — no per-event dispatch.
 struct DecodedBlock {
   /// An alloc or free, plus its position in the delivery order.
   struct Boundary {

@@ -80,9 +80,9 @@ public:
   /// into \p Out, replacing its contents — see traceio::DecodedBlock.
   /// Blocks are independently decodable — the writer restarts the
   /// address/time delta chains per block — which is what lets
-  /// TraceReplayer decode block N+1 on a worker while block N is being
-  /// injected. \p Index must be in range. Returns false with error() set
-  /// and \p Out empty on corruption.
+  /// ProfileSession::replayFrom decode block N+1 on a worker while
+  /// block N is being injected. \p Index must be in range. Returns
+  /// false with error() set and \p Out empty on corruption.
   [[nodiscard]] bool decodeBlockColumns(size_t Index, DecodedBlock &Out);
 
   /// A still-encoded view of one event block, for forwarding the

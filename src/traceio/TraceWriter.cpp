@@ -100,25 +100,27 @@ void TraceWriter::maybeFlush() {
     flushBlock();
 }
 
-void TraceWriter::onAccess(const trace::AccessEvent &Event) {
-  if (!File || Closed)
-    return;
-  uint8_t Tag = kOpAccess;
-  if (Event.IsStore)
-    Tag |= kTagStore;
-  if (Event.Size == 8)
-    Tag |= kTagSize8;
-  KindCol.push_back(Tag);
-  encodeULEB128(Event.Instr, IdCol);
-  encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
-  encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
-  if (Event.Size != 8)
-    encodeULEB128(Event.Size, SizeCol);
-  PrevAddr = Event.Addr;
-  PrevTime = Event.Time;
-  ++BlockEvents;
-  ++TotalEvents;
-  maybeFlush();
+void TraceWriter::onAccessBatch(std::span<const trace::AccessEvent> Events) {
+  for (const trace::AccessEvent &Event : Events) {
+    if (!File || Closed)
+      return; // A write error mid-batch closes the file.
+    uint8_t Tag = kOpAccess;
+    if (Event.IsStore)
+      Tag |= kTagStore;
+    if (Event.Size == 8)
+      Tag |= kTagSize8;
+    KindCol.push_back(Tag);
+    encodeULEB128(Event.Instr, IdCol);
+    encodeSLEB128(static_cast<int64_t>(Event.Addr - PrevAddr), AddrCol);
+    encodeSLEB128(static_cast<int64_t>(Event.Time - PrevTime), TimeCol);
+    if (Event.Size != 8)
+      encodeULEB128(Event.Size, SizeCol);
+    PrevAddr = Event.Addr;
+    PrevTime = Event.Time;
+    ++BlockEvents;
+    ++TotalEvents;
+    maybeFlush();
+  }
 }
 
 void TraceWriter::onAlloc(const trace::AllocEvent &Event) {

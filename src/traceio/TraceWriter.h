@@ -55,7 +55,7 @@ public:
   TraceWriter(const TraceWriter &) = delete;
   TraceWriter &operator=(const TraceWriter &) = delete;
 
-  void onAccess(const trace::AccessEvent &Event) override;
+  void onAccessBatch(std::span<const trace::AccessEvent> Events) override;
   void onAlloc(const trace::AllocEvent &Event) override;
   void onFree(const trace::FreeEvent &Event) override;
 

@@ -53,20 +53,12 @@ WhompProfiler::WhompProfiler(unsigned Threads)
                 Decomposer.workerTelemetry();
             const std::vector<core::Dimension> &Dims =
                 Decomposer.dimensions();
-            for (size_t I = 0; I != WT.size() && I != Dims.size(); ++I) {
-              std::string P = std::string("whomp.worker.") +
-                              core::dimensionName(Dims[I]) + ".";
-              R.gauge(P + "queue_depth")
-                  .set(static_cast<int64_t>(WT[I].Queue.Depth));
-              R.gauge(P + "queue_high_watermark")
-                  .set(static_cast<int64_t>(WT[I].Queue.HighWatermark));
-              R.gauge(P + "queue_pushes")
-                  .set(static_cast<int64_t>(WT[I].Queue.Pushes));
-              R.gauge(P + "queue_push_stalls")
-                  .set(static_cast<int64_t>(WT[I].Queue.PushStalls));
-              R.gauge(P + "busy_ns")
-                  .set(static_cast<int64_t>(WT[I].BusyNanos));
-            }
+            for (size_t I = 0; I != WT.size() && I != Dims.size(); ++I)
+              core::publishWorkerGauges(
+                  R,
+                  std::string("whomp.worker.") +
+                      core::dimensionName(Dims[I]) + ".",
+                  WT[I]);
           })) {}
 
 void WhompProfiler::validateGrammars(const char *When) const {
@@ -86,16 +78,7 @@ void WhompProfiler::validateGrammars(const char *When) const {
 }
 
 void WhompProfiler::consume(const core::OrTuple &Tuple) {
-  Decomposer.consume(Tuple);
-  ++Tuples;
-  if constexpr (check::Level >= 2)
-    if (Tuples >= NextValidateAt) {
-      NextValidateAt = Tuples + ValidateIntervalTuples;
-      // Threaded mode: the workers own the grammars until finish(), so
-      // periodic validation would race; finish() still validates.
-      if (!Decomposer.threaded())
-        validateGrammars("periodic");
-    }
+  consumeBatch(std::span<const core::OrTuple>(&Tuple, 1));
 }
 
 void WhompProfiler::consumeBatch(std::span<const core::OrTuple> Batch) {
@@ -104,6 +87,8 @@ void WhompProfiler::consumeBatch(std::span<const core::OrTuple> Batch) {
   if constexpr (check::Level >= 2)
     if (Tuples >= NextValidateAt) {
       NextValidateAt = Tuples + ValidateIntervalTuples;
+      // Threaded mode: the workers own the grammars until finish(), so
+      // periodic validation would race; finish() still validates.
       if (!Decomposer.threaded())
         validateGrammars("periodic");
     }

@@ -27,6 +27,8 @@
 #include "whomp/Whomp.h"
 #include "workloads/Workload.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,9 +42,7 @@ using namespace orp::advisor;
 
 namespace {
 
-std::string tempPath(const std::string &Name) {
-  return testing::TempDir() + "orp_advisor_" + Name;
-}
+using test::tempPath;
 
 /// Profiles \p WorkloadName live (WHOMP + LEAP + OMC) and returns the
 /// detached artifacts; optionally records the raw trace to \p TracePath

@@ -6,6 +6,8 @@
 #include "baseline/RasgProfiler.h"
 #include "support/Random.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 using namespace orp;
@@ -29,9 +31,9 @@ trace::AccessEvent load(trace::InstrId I, uint64_t Addr, uint64_t T) {
 
 TEST(ExactDependenceTest, SimpleRawDependence) {
   ExactDependenceProfiler P;
-  P.onAccess(store(1, 0x100, 0));
-  P.onAccess(load(2, 0x100, 1));
-  P.onAccess(load(2, 0x200, 2)); // Independent address.
+  test::deliver(P, store(1, 0x100, 0));
+  test::deliver(P, load(2, 0x100, 1));
+  test::deliver(P, load(2, 0x200, 2)); // Independent address.
   auto Mdf = P.mdf();
   ASSERT_TRUE(Mdf.count({1, 2}));
   EXPECT_DOUBLE_EQ((Mdf[{1, 2}]), 0.5);
@@ -43,9 +45,9 @@ TEST(ExactDependenceTest, AnyEarlierStoreCounts) {
   // The paper's conflict definition is "st wrote A at t1, ld reads A at
   // t2 > t1" — not just the last writer.
   ExactDependenceProfiler P;
-  P.onAccess(store(1, 0x100, 0));
-  P.onAccess(store(3, 0x100, 1)); // Overwrites, but 1 still conflicts.
-  P.onAccess(load(2, 0x100, 2));
+  test::deliver(P, store(1, 0x100, 0));
+  test::deliver(P, store(3, 0x100, 1)); // Overwrites, but 1 still conflicts.
+  test::deliver(P, load(2, 0x100, 2));
   auto Mdf = P.mdf();
   EXPECT_DOUBLE_EQ((Mdf[{1, 2}]), 1.0);
   EXPECT_DOUBLE_EQ((Mdf[{3, 2}]), 1.0);
@@ -53,18 +55,18 @@ TEST(ExactDependenceTest, AnyEarlierStoreCounts) {
 
 TEST(ExactDependenceTest, LoadBeforeStoreIsNotRaw) {
   ExactDependenceProfiler P;
-  P.onAccess(load(2, 0x100, 0));
-  P.onAccess(store(1, 0x100, 1));
+  test::deliver(P, load(2, 0x100, 0));
+  test::deliver(P, store(1, 0x100, 1));
   EXPECT_TRUE(P.mdf().empty());
 }
 
 TEST(ExactDependenceTest, RepeatedStoreCountsOncePerLoadExec) {
   ExactDependenceProfiler P;
-  P.onAccess(store(1, 0x100, 0));
-  P.onAccess(store(1, 0x100, 1));
-  P.onAccess(load(2, 0x100, 2));
+  test::deliver(P, store(1, 0x100, 0));
+  test::deliver(P, store(1, 0x100, 1));
+  test::deliver(P, load(2, 0x100, 2));
   EXPECT_EQ(P.conflictCount(1, 2), 1u);
-  P.onAccess(load(2, 0x100, 3));
+  test::deliver(P, load(2, 0x100, 3));
   EXPECT_EQ(P.conflictCount(1, 2), 2u);
 }
 
@@ -74,27 +76,27 @@ TEST(ExactDependenceTest, RepeatedStoreCountsOncePerLoadExec) {
 
 TEST(ConnorsTest, DetectsWithinWindow) {
   ConnorsProfiler P(4);
-  P.onAccess(store(1, 0x100, 0));
-  P.onAccess(load(2, 0x100, 1));
+  test::deliver(P, store(1, 0x100, 0));
+  test::deliver(P, load(2, 0x100, 1));
   auto Mdf = P.mdf();
   EXPECT_DOUBLE_EQ((Mdf[{1, 2}]), 1.0);
 }
 
 TEST(ConnorsTest, MissesBeyondWindow) {
   ConnorsProfiler P(4);
-  P.onAccess(store(1, 0x100, 0));
+  test::deliver(P, store(1, 0x100, 0));
   // Push 4 more stores so the window evicts the first one.
   for (int I = 0; I != 4; ++I)
-    P.onAccess(store(3, 0x200 + I * 8, 1 + I));
-  P.onAccess(load(2, 0x100, 10));
+    test::deliver(P, store(3, 0x200 + I * 8, 1 + I));
+  test::deliver(P, load(2, 0x100, 10));
   EXPECT_FALSE(P.mdf().count({1, 2})) << "evicted store must be missed";
 }
 
 TEST(ConnorsTest, DuplicateStoreInWindowCountsOnce) {
   ConnorsProfiler P(8);
-  P.onAccess(store(1, 0x100, 0));
-  P.onAccess(store(1, 0x100, 1));
-  P.onAccess(load(2, 0x100, 2));
+  test::deliver(P, store(1, 0x100, 0));
+  test::deliver(P, store(1, 0x100, 1));
+  test::deliver(P, load(2, 0x100, 2));
   auto Mdf = P.mdf();
   EXPECT_DOUBLE_EQ((Mdf[{1, 2}]), 1.0);
 }
@@ -112,8 +114,8 @@ TEST(ConnorsTest, NeverOverestimatesVsExact) {
       bool IsStore = R.nextBool(0.5);
       trace::AccessEvent E{Instr, Addr, 8, IsStore,
                            static_cast<uint64_t>(I)};
-      Exact.onAccess(E);
-      Connors.onAccess(E);
+      test::deliver(Exact, E);
+      test::deliver(Connors, E);
     }
     auto ExactMdf = Exact.mdf();
     for (const auto &[Pair, Freq] : Connors.mdf()) {
@@ -135,8 +137,8 @@ TEST(ConnorsTest, LargerWindowFindsMore) {
         static_cast<uint64_t>(I)});
   ConnorsProfiler Small(4), Big(512);
   for (const auto &E : Trace) {
-    Small.onAccess(E);
-    Big.onAccess(E);
+    test::deliver(Small, E);
+    test::deliver(Big, E);
   }
   double SmallMass = 0, BigMass = 0;
   for (const auto &[Pair, Freq] : Small.mdf())
@@ -153,7 +155,7 @@ TEST(ConnorsTest, LargerWindowFindsMore) {
 TEST(ExactStrideTest, DetectsPureStride) {
   ExactStrideProfiler P;
   for (int I = 0; I != 100; ++I)
-    P.onAccess(load(1, 0x1000 + I * 8, I));
+    test::deliver(P, load(1, 0x1000 + I * 8, I));
   auto S = P.stronglyStrided();
   ASSERT_TRUE(S.count(1));
   EXPECT_EQ(S[1].Stride, 8);
@@ -164,7 +166,7 @@ TEST(ExactStrideTest, RandomAccessNotStrided) {
   ExactStrideProfiler P;
   Rng R(17);
   for (int I = 0; I != 500; ++I)
-    P.onAccess(load(1, 0x1000 + R.nextBelow(100000) * 8, I));
+    test::deliver(P, load(1, 0x1000 + R.nextBelow(100000) * 8, I));
   EXPECT_FALSE(P.stronglyStrided().count(1));
 }
 
@@ -173,11 +175,11 @@ TEST(ExactStrideTest, SeventyPercentBoundary) {
   // 70 steps of stride 8, 30 steps of assorted strides: share is
   // exactly 0.70 -> strongly strided at the default threshold.
   uint64_t Addr = 0x1000;
-  P.onAccess(load(1, Addr, 0));
+  test::deliver(P, load(1, Addr, 0));
   for (int I = 0; I != 70; ++I)
-    P.onAccess(load(1, Addr += 8, 1 + I));
+    test::deliver(P, load(1, Addr += 8, 1 + I));
   for (int I = 0; I != 30; ++I)
-    P.onAccess(load(1, Addr += 24 + I * 16, 100 + I));
+    test::deliver(P, load(1, Addr += 24 + I * 16, 100 + I));
   auto S = P.stronglyStrided();
   ASSERT_TRUE(S.count(1));
   EXPECT_NEAR(S[1].Share, 0.70, 1e-9);
@@ -185,10 +187,10 @@ TEST(ExactStrideTest, SeventyPercentBoundary) {
 
 TEST(ExactStrideTest, TracksAllStrides) {
   ExactStrideProfiler P;
-  P.onAccess(load(1, 100, 0));
-  P.onAccess(load(1, 108, 1));
-  P.onAccess(load(1, 100, 2));
-  P.onAccess(load(1, 108, 3));
+  test::deliver(P, load(1, 100, 0));
+  test::deliver(P, load(1, 108, 1));
+  test::deliver(P, load(1, 100, 2));
+  test::deliver(P, load(1, 108, 3));
   const auto &S = P.strides(1);
   EXPECT_EQ(S.size(), 2u);
   EXPECT_EQ(S.at(8), 2u);
@@ -201,9 +203,9 @@ TEST(ExactStrideTest, TracksAllStrides) {
 
 TEST(RasgTest, GrammarsRecordBothComponents) {
   RasgProfiler P;
-  P.onAccess(load(1, 0x100, 0));
-  P.onAccess(load(2, 0x108, 1));
-  P.onAccess(load(1, 0x100, 2));
+  test::deliver(P, load(1, 0x100, 0));
+  test::deliver(P, load(2, 0x108, 1));
+  test::deliver(P, load(1, 0x100, 2));
   EXPECT_EQ(P.accessesSeen(), 3u);
   EXPECT_EQ(P.addressGrammar().expandAll(),
             (std::vector<uint64_t>{0x100, 0x108, 0x100}));
@@ -216,7 +218,7 @@ TEST(RasgTest, RepetitiveTraceCompresses) {
   RasgProfiler P;
   for (int Rep = 0; Rep != 200; ++Rep)
     for (int I = 0; I != 4; ++I)
-      P.onAccess(load(static_cast<trace::InstrId>(I), 0x1000 + I * 8,
+      test::deliver(P, load(static_cast<trace::InstrId>(I), 0x1000 + I * 8,
                       Rep * 4 + I));
   EXPECT_LT(P.serializedSizeBytes(), 200u);
 }

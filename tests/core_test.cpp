@@ -6,6 +6,8 @@
 #include "core/ProfilingSession.h"
 #include "memsim/AddressSpace.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <map>
@@ -78,8 +80,8 @@ TEST(CdcTest, TranslatesThroughOmc) {
   C.addConsumer(&Buf);
 
   C.onAlloc(alloc(9, 0x1000, 64, 0));
-  C.onAccess(access(1, 0x1010, 0));
-  C.onAccess(access(2, 0x1020, 1, /*Store=*/true));
+  test::deliver(C, access(1, 0x1010, 0));
+  test::deliver(C, access(2, 0x1020, 1, /*Store=*/true));
   C.onFinish();
 
   ASSERT_EQ(Buf.Tuples.size(), 2u);
@@ -94,25 +96,14 @@ TEST(CdcTest, TranslatesThroughOmc) {
   EXPECT_EQ(C.stats().Translated, 2u);
 }
 
-TEST(CdcTest, DropPolicySkipsUnknownAddresses) {
+TEST(CdcTest, UnknownAddressesAreCountedAndDropped) {
   omc::ObjectManager O;
-  Cdc C(O, UnknownAddressPolicy::Drop);
+  Cdc C(O);
   TupleBuffer Buf;
   C.addConsumer(&Buf);
-  C.onAccess(access(1, 0xDEAD, 0));
+  test::deliver(C, access(1, 0xDEAD, 0));
   EXPECT_TRUE(Buf.Tuples.empty());
   EXPECT_EQ(C.stats().Unknown, 1u);
-}
-
-TEST(CdcTest, WildGroupPolicyForwardsUnknownAddresses) {
-  omc::ObjectManager O;
-  Cdc C(O, UnknownAddressPolicy::WildGroup);
-  TupleBuffer Buf;
-  C.addConsumer(&Buf);
-  C.onAccess(access(1, 0xDEAD, 0));
-  ASSERT_EQ(Buf.Tuples.size(), 1u);
-  EXPECT_EQ(Buf.Tuples[0].Group, Cdc::WildGroupId);
-  EXPECT_EQ(Buf.Tuples[0].Offset, 0xDEADu);
 }
 
 TEST(CdcTest, FreeRetiresTranslation) {
@@ -122,7 +113,7 @@ TEST(CdcTest, FreeRetiresTranslation) {
   C.addConsumer(&Buf);
   C.onAlloc(alloc(0, 0x1000, 64, 0));
   C.onFree(trace::FreeEvent{0x1000, 1});
-  C.onAccess(access(1, 0x1000, 2));
+  test::deliver(C, access(1, 0x1000, 2));
   EXPECT_TRUE(Buf.Tuples.empty());
   EXPECT_EQ(C.stats().Unknown, 1u);
 }
@@ -134,7 +125,7 @@ TEST(CdcTest, MultipleConsumersSeeTheSameStream) {
   C.addConsumer(&A);
   C.addConsumer(&B);
   C.onAlloc(alloc(0, 0x1000, 64, 0));
-  C.onAccess(access(1, 0x1000, 0));
+  test::deliver(C, access(1, 0x1000, 0));
   EXPECT_EQ(A.Tuples.size(), 1u);
   EXPECT_EQ(B.Tuples.size(), 1u);
 }

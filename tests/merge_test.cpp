@@ -25,6 +25,8 @@
 #include "whomp/Whomp.h"
 #include "workloads/Workload.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -529,9 +531,7 @@ TEST(OmcCheckpointTest, RejectsTruncationAndCorruption) {
 
 namespace {
 
-std::string tempPath(const std::string &Name) {
-  return testing::TempDir() + "orp_merge_" + Name;
-}
+using test::tempPath;
 
 void recordTrace(const std::string &WorkloadName, const std::string &Path,
                  size_t BlockBytes = 4096) {

@@ -14,12 +14,14 @@
 #include "support/SpscQueue.h"
 #include "support/WorkerPool.h"
 #include "telemetry/Metric.h"
+#include "session/ProfileSession.h"
 #include "traceio/TraceReader.h"
-#include "traceio/TraceReplayer.h"
 #include "traceio/TraceWriter.h"
 #include "whomp/OmsgArchive.h"
 #include "whomp/Whomp.h"
 #include "workloads/Workload.h"
+
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -32,13 +34,7 @@
 
 using namespace orp;
 
-namespace {
-
-std::string tempPath(const std::string &Name) {
-  return testing::TempDir() + "orp_pipeline_" + Name;
-}
-
-} // namespace
+using test::tempPath;
 
 //===----------------------------------------------------------------------===//
 // SpscQueue
@@ -379,23 +375,32 @@ void recordWithProfilers(const std::string &WorkloadName,
   LiveLeap = leap::LeapProfileData::fromProfiler(Leap).serialize();
 }
 
-/// Replays \p Path at \p Threads and serializes both profiles.
+/// A session configured like \p Reader's recorded run, with both
+/// profilers at \p Threads.
+session::SessionConfig replayConfig(const traceio::TraceReader &Reader,
+                                    unsigned Threads) {
+  session::SessionConfig Config;
+  Config.Policy = static_cast<memsim::AllocPolicy>(Reader.info().AllocPolicy);
+  Config.Seed = Reader.info().Seed;
+  Config.MaxLmads = lmad::LmadCompressor::DefaultMaxLmads;
+  Config.ProfilerThreads = Threads;
+  return Config;
+}
+
+/// Replays \p Path at \p Threads (profilers and decode-ahead) and
+/// serializes both profiles.
 void replayAt(const std::string &Path, unsigned Threads,
               std::vector<uint8_t> &Omsg, std::vector<uint8_t> &LeapBytes,
               uint64_t &EventsReplayed) {
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  traceio::TraceReplayer Replayer(Reader);
-  Replayer.setThreads(Threads);
-  auto Session = Replayer.makeSession();
-  whomp::WhompProfiler Whomp(Threads);
-  leap::LeapProfiler Leap(lmad::LmadCompressor::DefaultMaxLmads, Threads);
-  Session->addConsumer(&Whomp);
-  Session->addConsumer(&Leap);
-  ASSERT_TRUE(Replayer.replayInto(*Session)) << Replayer.error();
-  EventsReplayed = Replayer.eventsReplayed();
-  Omsg = whomp::OmsgArchive::serializeProfile(Whomp, &Session->omc());
-  LeapBytes = leap::LeapProfileData::fromProfiler(Leap).serialize();
+  session::ProfileSession Session("replay", replayConfig(Reader, Threads));
+  ASSERT_TRUE(Session.replayFrom(Reader, Threads)) << Session.error();
+  session::SessionArtifacts A = Session.finalize();
+  ASSERT_FALSE(A.Failed) << A.Error;
+  EventsReplayed = A.Events;
+  Omsg = std::move(A.Omsg);
+  LeapBytes = std::move(A.Leap);
 }
 
 } // namespace
@@ -471,20 +476,14 @@ TEST(PipelineDeterminismTest, ThreadedReplayRejectsCorruptTrace) {
 
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  traceio::TraceReplayer Replayer(Reader);
-  Replayer.setThreads(4);
-  auto Session = Replayer.makeSession();
-  // Attach threaded consumers: a failed replay returns without calling
-  // Session.finish(), so the profilers are destroyed with chunks still
-  // in flight — the decomposer destructors must join their workers
-  // (regression: use-after-free on the shard maps, caught by ASan/TSan).
-  whomp::WhompProfiler Whomp(/*Threads=*/4);
-  leap::LeapProfiler Leap(lmad::LmadCompressor::DefaultMaxLmads,
-                          /*Threads=*/4);
-  Session->addConsumer(&Whomp);
-  Session->addConsumer(&Leap);
-  EXPECT_FALSE(Replayer.replayInto(*Session));
-  EXPECT_FALSE(Replayer.error().empty());
+  // Threaded profilers behind a decode-ahead replay. Destroying a
+  // threaded decomposer with chunks still in flight is covered by
+  // DecompositionThreadedTest.*DestroyWithoutFinishJoinsWorkers.
+  session::ProfileSession Session("corrupt", replayConfig(Reader, 4));
+  EXPECT_FALSE(Session.replayFrom(Reader, 4));
+  EXPECT_TRUE(Session.failed());
+  EXPECT_FALSE(Session.error().empty());
+  EXPECT_TRUE(Session.finalize().Failed);
   std::remove(Path.c_str());
 }
 

@@ -26,6 +26,8 @@
 #include "whomp/OmsgArchive.h"
 #include "workloads/Workload.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 // A raw connection pipelines requests the blocking Client serializes.
@@ -52,9 +54,7 @@ using support::ScopedRole;
 
 namespace {
 
-std::string tempPath(const std::string &Name) {
-  return testing::TempDir() + "orp_session_" + Name;
-}
+using test::tempPath;
 
 /// The checked-in trace whose offset terminals reach 2^63 (one object of
 /// 2^63 + 4096 bytes, four loads past its 2^63rd byte; see
@@ -639,6 +639,56 @@ TEST(ProfileSessionTest, UnstorableTerminalFailsFinalizeWithoutAborting) {
                     ->grammarFor(core::Dimension::Instruction)
                     .fitsImage());
   }
+}
+
+TEST(ProfileSessionTest, ReplayCountsEventsAndPublishesDecodeQueue) {
+  // replayFrom's telemetry: replay.events counts exactly the events it
+  // injected, replay.total times each call, and decoding ahead
+  // publishes the decode queue's final counters.
+  std::string Path = tempPath("replay_telemetry.orpt");
+  ASSERT_NO_FATAL_FAILURE(recordTrace("list-traversal", Path));
+  traceio::TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  const uint64_t Blocks = Reader.numEventBlocks();
+  ASSERT_GE(Blocks, 2u);
+  telemetry::Registry &Reg = telemetry::Registry::global();
+  auto ReplayTimings = [](const telemetry::MetricsSnapshot &S) {
+    for (const auto &T : S.Timers)
+      if (T.Name == "replay.total")
+        return T.Count;
+    return uint64_t(0);
+  };
+  auto HasGauge = [](const telemetry::MetricsSnapshot &S,
+                     const std::string &Name) {
+    for (const auto &G : S.Gauges)
+      if (G.Name == Name)
+        return true;
+    return false;
+  };
+  for (unsigned Threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(Threads));
+    telemetry::MetricsSnapshot Before = Reg.snapshot();
+    session::ProfileSession Session("telemetry", configFor(Reader));
+    ASSERT_TRUE(Session.replayFrom(Reader, Threads)) << Session.error();
+    telemetry::MetricsSnapshot After = Reg.snapshot();
+    EXPECT_EQ(Session.eventsInjected(), Reader.info().TotalEvents);
+    EXPECT_EQ(After.counter("replay.events") - Before.counter("replay.events"),
+              Session.eventsInjected());
+    EXPECT_EQ(ReplayTimings(After) - ReplayTimings(Before), 1u);
+    if (Threads == 1)
+      continue;
+    for (const char *Name :
+         {"replay.decode_queue.capacity",
+          "replay.decode_queue.high_watermark", "replay.decode_queue.pushes",
+          "replay.decode_queue.push_stalls"})
+      EXPECT_TRUE(HasGauge(After, Name)) << Name;
+    EXPECT_EQ(After.gauge("replay.decode_queue.capacity"),
+              static_cast<int64_t>(session::ProfileSession::DecodeQueueDepth));
+    EXPECT_EQ(After.gauge("replay.decode_queue.pushes"),
+              static_cast<int64_t>(Blocks));
+    EXPECT_GE(After.gauge("replay.decode_queue.high_watermark"), 1);
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(SessionManagerTest, CloseBytesHoldGrammarImagesAndObjectRows) {

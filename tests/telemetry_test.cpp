@@ -16,6 +16,8 @@
 #include "telemetry/Snapshot.h"
 #include "trace/MetricsTicker.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,9 +32,7 @@ namespace {
 
 telemetry::Registry &reg() { return telemetry::Registry::global(); }
 
-std::string tempPath(const std::string &Name) {
-  return testing::TempDir() + "orp_telemetry_" + Name;
-}
+using test::tempPath;
 
 std::string slurp(const std::string &Path) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
@@ -371,9 +371,9 @@ TEST(MetricsTickerTest, EmitsOncePerIntervalCrossing) {
       100, [&Emits](const telemetry::MetricsSnapshot &) { ++Emits; });
   trace::AccessEvent E{};
   for (int I = 0; I != 99; ++I)
-    Ticker.onAccess(E);
+    test::deliver(Ticker, E);
   EXPECT_EQ(Emits, 0);
-  Ticker.onAccess(E);
+  test::deliver(Ticker, E);
   EXPECT_EQ(Emits, 1);
   // A batch spanning several boundaries emits once per crossing.
   std::vector<trace::AccessEvent> Batch(250);

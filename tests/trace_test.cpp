@@ -5,6 +5,8 @@
 #include "trace/InstructionRegistry.h"
 #include "trace/MemoryInterface.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <span>
@@ -113,49 +115,86 @@ TEST(MemoryInterfaceTest, FinishFreesStatics) {
   EXPECT_EQ(B.frees().size(), 2u);
 }
 
-TEST(MemoryInterfaceTest, InjectAccessBatchMatchesSingleInjection) {
-  // The columnar replay path feeds whole spans through
-  // injectAccessBatch; the sink stream and clock must be
-  // indistinguishable from per-event injection of the same events.
-  std::vector<AccessEvent> Events;
-  for (uint64_t I = 0; I != 6; ++I)
-    Events.push_back(
-        {static_cast<InstrId>(I), 0x1000 + I * 8, 4, (I & 1) != 0, 10 + I});
+namespace {
 
-  MemoryInterface Single, Batched;
-  BufferSink SinkA, SinkB;
-  Single.attachSink(&SinkA);
-  Batched.attachSink(&SinkB);
-  for (const AccessEvent &E : Events)
-    Single.injectAccess(E);
-  Single.flushAccesses();
-  Batched.injectAccessBatch(std::span<const AccessEvent>(Events));
-
-  ASSERT_EQ(SinkA.accesses().size(), Events.size());
-  ASSERT_EQ(SinkB.accesses().size(), Events.size());
-  for (size_t I = 0; I != Events.size(); ++I) {
-    EXPECT_EQ(SinkA.accesses()[I].Instr, SinkB.accesses()[I].Instr);
-    EXPECT_EQ(SinkA.accesses()[I].Addr, SinkB.accesses()[I].Addr);
-    EXPECT_EQ(SinkA.accesses()[I].Size, SinkB.accesses()[I].Size);
-    EXPECT_EQ(SinkA.accesses()[I].IsStore, SinkB.accesses()[I].IsStore);
-    EXPECT_EQ(SinkA.accesses()[I].Time, SinkB.accesses()[I].Time);
+void expectSameAccesses(const std::vector<AccessEvent> &A,
+                        const std::vector<AccessEvent> &B) {
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t I = 0; I != A.size(); ++I) {
+    EXPECT_EQ(A[I].Instr, B[I].Instr) << I;
+    EXPECT_EQ(A[I].Addr, B[I].Addr) << I;
+    EXPECT_EQ(A[I].Size, B[I].Size) << I;
+    EXPECT_EQ(A[I].IsStore, B[I].IsStore) << I;
+    EXPECT_EQ(A[I].Time, B[I].Time) << I;
   }
-  EXPECT_EQ(Single.now(), Batched.now());
 }
 
-TEST(MemoryInterfaceTest, InjectAccessBatchFlushesBufferedSinglesFirst) {
-  // A batch arriving while single injections sit in the access buffer
-  // must not reorder the stream: buffered events flush first.
+} // namespace
+
+TEST(MemoryInterfaceTest, InjectAccessBatchIsChunkingInvariant) {
+  // Sinks must see one stream however it arrives: replay injecting a
+  // run as one span or as 1-event spans, and the live probes batching
+  // the same accesses (over more than one flush) themselves.
+  const size_t N = 2 * MemoryInterface::BatchCapacity + 5;
+  std::vector<AccessEvent> Events;
+  for (uint64_t I = 0; I != N; ++I)
+    Events.push_back({static_cast<InstrId>(I % 7), 0x1000 + I * 8,
+                      (I % 3) ? 8u : 4u, (I & 1) != 0, I});
+
+  MemoryInterface Whole, Singles, Live;
+  BufferSink SinkWhole, SinkSingles, SinkLive;
+  Whole.attachSink(&SinkWhole);
+  Singles.attachSink(&SinkSingles);
+  Live.attachSink(&SinkLive);
+  Whole.injectAccessBatch(std::span<const AccessEvent>(Events));
+  for (const AccessEvent &E : Events)
+    Singles.injectAccessBatch(std::span<const AccessEvent>(&E, 1));
+  for (const AccessEvent &E : Events) {
+    if (E.IsStore)
+      Live.store(E.Instr, E.Addr, E.Size);
+    else
+      Live.load(E.Instr, E.Addr, E.Size);
+  }
+  Live.flushAccesses();
+
+  ASSERT_EQ(SinkWhole.accesses().size(), N);
+  expectSameAccesses(SinkWhole.accesses(), Events);
+  expectSameAccesses(SinkSingles.accesses(), Events);
+  expectSameAccesses(SinkLive.accesses(), Events);
+  EXPECT_EQ(Whole.now(), N);
+  EXPECT_EQ(Singles.now(), N);
+  EXPECT_EQ(Live.now(), N);
+}
+
+TEST(MemoryInterfaceTest, InjectAccessBatchFlushesLiveAccessesFirst) {
+  // A batch arriving while live accesses sit in the access buffer must
+  // not reorder the stream: buffered events flush first.
   MemoryInterface M;
   BufferSink B;
   M.attachSink(&B);
-  M.injectAccess({1, 0x10, 4, false, 1});
-  std::vector<AccessEvent> Batch{{2, 0x20, 4, true, 2}};
+  M.load(1, 0x10, 4);
+  std::vector<AccessEvent> Batch{{2, 0x20, 4, true, 1}};
   M.injectAccessBatch(std::span<const AccessEvent>(Batch));
   ASSERT_EQ(B.accesses().size(), 2u);
   EXPECT_EQ(B.accesses()[0].Instr, 1u);
   EXPECT_EQ(B.accesses()[1].Instr, 2u);
-  EXPECT_EQ(M.now(), 3u);
+  EXPECT_EQ(M.now(), 2u);
+}
+
+TEST(MemoryInterfaceTest, ForwardsToEveryAttachedSink) {
+  MemoryInterface M;
+  CountingSink C1, C2;
+  M.attachSink(&C1);
+  M.attachSink(&C2);
+  uint64_t Addr = M.heapAlloc(0, 8);
+  M.store(0, Addr);
+  M.heapFree(Addr);
+  for (const CountingSink *C : {&C1, &C2}) {
+    EXPECT_EQ(C->accesses(), 1u);
+    EXPECT_EQ(C->stores(), 1u);
+    EXPECT_EQ(C->allocs(), 1u);
+    EXPECT_EQ(C->frees(), 1u);
+  }
 }
 
 TEST(MemoryInterfaceTest, SeedShiftsStaticBase) {
@@ -168,24 +207,9 @@ TEST(MemoryInterfaceTest, SeedShiftsStaticBase) {
 
 TEST(CountingSinkTest, RawTraceBytes) {
   CountingSink C;
-  AccessEvent E{0, 0x1000, 8, false, 0};
-  for (int I = 0; I != 10; ++I)
-    C.onAccess(E);
+  std::vector<AccessEvent> Events(10, AccessEvent{0, 0x1000, 8, false, 0});
+  C.onAccessBatch(std::span<const AccessEvent>(Events));
   EXPECT_EQ(C.rawTraceBytes(), 120u);
-}
-
-TEST(FanoutSinkTest, ForwardsToAll) {
-  FanoutSink F;
-  CountingSink C1, C2;
-  F.addSink(&C1);
-  F.addSink(&C2);
-  F.onAccess(AccessEvent{0, 1, 8, true, 0});
-  F.onAlloc(AllocEvent{0, 2, 8, 0, false});
-  F.onFree(FreeEvent{2, 0});
-  EXPECT_EQ(C1.accesses(), 1u);
-  EXPECT_EQ(C2.accesses(), 1u);
-  EXPECT_EQ(C1.allocs(), 1u);
-  EXPECT_EQ(C2.frees(), 1u);
 }
 
 TEST(BufferSinkTest, ReplayPreservesDeliveryOrder) {
@@ -196,12 +220,14 @@ TEST(BufferSinkTest, ReplayPreservesDeliveryOrder) {
   B.onAlloc(AllocEvent{0, 0x1000, 64, 0, false});
   B.onFree(FreeEvent{0x1000, 0});
   B.onAlloc(AllocEvent{1, 0x1000, 32, 0, false});
-  B.onAccess(AccessEvent{0, 0x1000, 8, false, 0});
+  test::deliver(B, AccessEvent{0, 0x1000, 8, false, 0});
 
   struct OrderSink : TraceSink {
     std::vector<int> Seen;
     bool Finished = false;
-    void onAccess(const AccessEvent &) override { Seen.push_back(0); }
+    void onAccessBatch(std::span<const AccessEvent> Events) override {
+      Seen.insert(Seen.end(), Events.size(), 0);
+    }
     void onAlloc(const AllocEvent &) override { Seen.push_back(1); }
     void onFree(const FreeEvent &) override { Seen.push_back(2); }
     void onFinish() override { Finished = true; }
@@ -209,6 +235,32 @@ TEST(BufferSinkTest, ReplayPreservesDeliveryOrder) {
   B.replayTo(S);
   EXPECT_EQ(S.Seen, (std::vector<int>{1, 2, 1, 0}));
   EXPECT_TRUE(S.Finished);
+}
+
+TEST(BufferSinkTest, ReplayBatchesEachRunOfAccesses) {
+  // Each maximal run of accesses between two alloc/free events is
+  // replayed as one batch, whatever batches it was recorded in.
+  BufferSink B;
+  std::vector<AccessEvent> Run{{0, 0x1000, 8, false, 0},
+                               {1, 0x1008, 8, true, 1},
+                               {2, 0x1010, 8, false, 2}};
+  B.onAccessBatch(std::span<const AccessEvent>(Run).first(2));
+  B.onAlloc(AllocEvent{0, 0x2000, 64, 2, false});
+  test::deliver(B, Run[0]);
+  B.onAccessBatch(std::span<const AccessEvent>(Run));
+  B.onFree(FreeEvent{0x2000, 5});
+  test::deliver(B, Run[2]);
+
+  struct BatchSink : TraceSink {
+    std::vector<int> Seen; // Batch sizes; -1 alloc, -2 free.
+    void onAccessBatch(std::span<const AccessEvent> Events) override {
+      Seen.push_back(static_cast<int>(Events.size()));
+    }
+    void onAlloc(const AllocEvent &) override { Seen.push_back(-1); }
+    void onFree(const FreeEvent &) override { Seen.push_back(-2); }
+  } S;
+  B.replayTo(S);
+  EXPECT_EQ(S.Seen, (std::vector<int>{2, -1, 4, -2, 1}));
 }
 
 TEST(BufferSinkTest, ReplayEqualsOriginalStream) {
@@ -273,7 +325,6 @@ TEST(MemoryInterfaceTest, FreeMidBatchFlushesAccessesFirst) {
   // sinks see the accesses, then the free, exactly in execution order.
   struct OrderSink : TraceSink {
     std::vector<char> Seen;
-    void onAccess(const AccessEvent &) override { Seen.push_back('a'); }
     void onAccessBatch(std::span<const AccessEvent> Events) override {
       for (size_t I = 0; I != Events.size(); ++I)
         Seen.push_back('a');

@@ -1,7 +1,7 @@
 //===- tests/traceio_test.cpp - Trace record/replay tests ----------------===//
 //
 // The contract under test: a .orpt recording of a run, replayed into a
-// fresh ProfilingSession, yields bit-identical profiles (OMSG archive,
+// fresh ProfileSession, yields bit-identical profiles (OMSG archive,
 // LEAP profile, RASG grammars) — and a damaged trace file is rejected
 // with a clear error, never silently misparsed.
 //
@@ -13,13 +13,15 @@
 #include "support/Checksum.h"
 #include "support/Endian.h"
 #include "support/VarInt.h"
+#include "session/ProfileSession.h"
 #include "traceio/BlockCodec.h"
 #include "traceio/TraceReader.h"
-#include "traceio/TraceReplayer.h"
 #include "traceio/TraceWriter.h"
 #include "whomp/OmsgArchive.h"
 #include "whomp/Whomp.h"
 #include "workloads/Workload.h"
+
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -31,10 +33,21 @@
 
 using namespace orp;
 
+using test::tempPath;
+
 namespace {
 
-std::string tempPath(const std::string &Name) {
-  return testing::TempDir() + "orp_traceio_" + Name;
+/// Configuration of a session that replays \p Reader's recorded run,
+/// with only the profilers asked for; tests that attach their own sinks
+/// turn both off.
+session::SessionConfig replayConfig(const traceio::TraceReader &Reader,
+                                    bool Whomp, bool Leap) {
+  session::SessionConfig Config;
+  Config.Policy = static_cast<memsim::AllocPolicy>(Reader.info().AllocPolicy);
+  Config.Seed = Reader.info().Seed;
+  Config.EnableWhomp = Whomp;
+  Config.EnableLeap = Leap;
+  return Config;
 }
 
 /// Runs \p WorkloadName live with \p Extra sinks/consumers attached and
@@ -128,16 +141,12 @@ TEST(TraceIoTest, GzipReplayProducesByteIdenticalOmsg) {
 
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  traceio::TraceReplayer Replayer(Reader);
-  auto Replayed = Replayer.makeSession();
-  whomp::WhompProfiler Offline;
-  Replayed->addConsumer(&Offline);
-  ASSERT_TRUE(Replayer.replayInto(*Replayed)) << Replayer.error();
+  session::ProfileSession Replayed("gzip", replayConfig(Reader, true, false));
+  ASSERT_TRUE(Replayed.replayFrom(Reader)) << Replayed.error();
+  session::SessionArtifacts A = Replayed.finalize();
 
-  auto ReplayBytes =
-      whomp::OmsgArchive::serializeProfile(Offline, &Replayed->omc());
-  EXPECT_EQ(Live.tuplesSeen(), Offline.tuplesSeen());
-  EXPECT_EQ(LiveBytes, ReplayBytes);
+  EXPECT_EQ(Live.tuplesSeen(), Replayed.whomp()->tuplesSeen());
+  EXPECT_EQ(LiveBytes, A.Omsg);
   std::remove(Path.c_str());
 }
 
@@ -149,14 +158,12 @@ TEST(TraceIoTest, LeapReplayProducesIdenticalProfile) {
 
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  traceio::TraceReplayer Replayer(Reader);
-  auto Replayed = Replayer.makeSession();
-  leap::LeapProfiler Offline(/*MaxLmads=*/30);
-  Replayed->addConsumer(&Offline);
-  ASSERT_TRUE(Replayer.replayInto(*Replayed)) << Replayer.error();
+  session::SessionConfig Config = replayConfig(Reader, false, true);
+  Config.MaxLmads = 30;
+  session::ProfileSession Replayed("mcf", Config);
+  ASSERT_TRUE(Replayed.replayFrom(Reader)) << Replayed.error();
 
-  EXPECT_EQ(LiveBytes,
-            leap::LeapProfileData::fromProfiler(Offline).serialize());
+  EXPECT_EQ(LiveBytes, Replayed.finalize().Leap);
   std::remove(Path.c_str());
 }
 
@@ -167,11 +174,11 @@ TEST(TraceIoTest, RasgReplayProducesIdenticalGrammars) {
 
   traceio::TraceReader Reader;
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
-  traceio::TraceReplayer Replayer(Reader);
-  auto Replayed = Replayer.makeSession();
+  session::ProfileSession Replayed("rasg", replayConfig(Reader, false, false));
   baseline::RasgProfiler Offline;
-  Replayed->addRawSink(&Offline);
-  ASSERT_TRUE(Replayer.replayInto(*Replayed)) << Replayer.error();
+  Replayed.core().addRawSink(&Offline);
+  ASSERT_TRUE(Replayed.replayFrom(Reader)) << Replayed.error();
+  Replayed.finalize();
 
   EXPECT_EQ(Live.accessesSeen(), Offline.accessesSeen());
   EXPECT_EQ(Live.addressGrammar().serialize(),
@@ -193,11 +200,12 @@ TEST(TraceIoTest, MultiBlockEventStreamRoundTrips) {
   ASSERT_TRUE(Reader.open(Path)) << Reader.error();
   EXPECT_GT(Reader.info().NumBlocks, 1u);
 
-  traceio::TraceReplayer Replayer(Reader);
-  auto Replayed = Replayer.makeSession();
+  session::ProfileSession Replayed("blocks",
+                                  replayConfig(Reader, false, false));
   trace::BufferSink Offline;
-  Replayed->addRawSink(&Offline);
-  ASSERT_TRUE(Replayer.replayInto(*Replayed)) << Replayer.error();
+  Replayed.core().addRawSink(&Offline);
+  ASSERT_TRUE(Replayed.replayFrom(Reader)) << Replayed.error();
+  Replayed.finalize();
 
   ASSERT_EQ(Live.accesses().size(), Offline.accesses().size());
   for (size_t I = 0; I != Live.accesses().size(); ++I) {
@@ -285,10 +293,9 @@ TEST(TraceIoTest, EmptyTraceRoundTrips) {
       Reader.forEachEvent([&](const traceio::TraceEvent &) { ++Seen; }));
   EXPECT_EQ(Seen, 0u);
 
-  traceio::TraceReplayer Replayer(Reader);
-  auto Session = Replayer.makeSession();
-  EXPECT_TRUE(Replayer.replayInto(*Session));
-  EXPECT_EQ(Replayer.eventsReplayed(), 0u);
+  session::ProfileSession Replayed("empty", replayConfig(Reader, true, true));
+  EXPECT_TRUE(Replayed.replayFrom(Reader)) << Replayed.error();
+  EXPECT_EQ(Replayed.eventsInjected(), 0u);
   std::remove(Path.c_str());
 }
 
@@ -570,13 +577,11 @@ TEST_F(TraceIoCorruptionTest, MidBlockFaultDeliversNoneOfTheBlock) {
   for (unsigned Threads : {1u, 2u}) {
     traceio::TraceReader R;
     ASSERT_TRUE(R.openImage(Bad, "corrupt.orpt")) << R.error();
-    traceio::TraceReplayer Replayer(R);
-    Replayer.setThreads(Threads);
-    auto Session = Replayer.makeSession();
-    EXPECT_FALSE(Replayer.replayInto(*Session)) << "threads=" << Threads;
-    EXPECT_EQ(Replayer.eventsReplayed(), Block0Events)
+    session::ProfileSession Session("corrupt", replayConfig(R, true, true));
+    EXPECT_FALSE(Session.replayFrom(R, Threads)) << "threads=" << Threads;
+    EXPECT_EQ(Session.eventsInjected(), Block0Events)
         << "threads=" << Threads;
-    EXPECT_EQ(Replayer.error(), Want) << "threads=" << Threads;
+    EXPECT_EQ(Session.error(), Want) << "threads=" << Threads;
   }
 }
 
@@ -754,18 +759,15 @@ struct ReplayArtifacts {
 ReplayArtifacts replayArtifacts(const std::string &Path, unsigned Threads) {
   traceio::TraceReader Reader;
   EXPECT_TRUE(Reader.open(Path)) << Reader.error();
-  traceio::TraceReplayer Replayer(Reader);
-  Replayer.setThreads(Threads);
-  auto Session = Replayer.makeSession();
-  whomp::WhompProfiler Whomp;
-  leap::LeapProfiler Leap(/*MaxLmads=*/30);
-  Session->addConsumer(&Whomp);
-  Session->addConsumer(&Leap);
-  EXPECT_TRUE(Replayer.replayInto(*Session)) << Replayer.error();
+  session::SessionConfig Config = replayConfig(Reader, true, true);
+  Config.MaxLmads = 30;
+  session::ProfileSession Session("xver", Config);
+  EXPECT_TRUE(Session.replayFrom(Reader, Threads)) << Session.error();
+  session::SessionArtifacts Out = Session.finalize();
   ReplayArtifacts A;
-  A.Events = Replayer.eventsReplayed();
-  A.Omsg = whomp::OmsgArchive::serializeProfile(Whomp, &Session->omc());
-  A.Leap = leap::LeapProfileData::fromProfiler(Leap).serialize();
+  A.Events = Out.Events;
+  A.Omsg = std::move(Out.Omsg);
+  A.Leap = std::move(Out.Leap);
   return A;
 }
 

@@ -54,10 +54,13 @@ SCHEMA='
           | select((.count | type) != "number"
                    or (.total_ns | type) != "number")] == [])
     # The pipeline instruments these unconditionally; their absence
-    # means the exporter or the instrumentation regressed.
+    # means the exporter or the instrumentation regressed. replay.total
+    # is registered when ProfileSession::replayFrom starts, so it is in
+    # every replay/stats snapshot, interval lines included.
     and (.counters | has("cdc.batches"))
     and (.gauges | has("omc.translations"))
     and (.gauges | has("log.error"))
+    and (.timers | has("replay.total"))
   )
 '
 

@@ -25,8 +25,8 @@
 //   atomics              non-relaxed memory orderings are confined to
 //                        the sanctioned files that own a published
 //                        happens-before edge (src/support, the
-//                        telemetry registry spinlock, the replayer's
-//                        decode-ahead flag, the session manager).
+//                        telemetry registry spinlock, the session
+//                        manager).
 //   raw-thread           std::thread/mutex/condition_variable only in
 //                        src/support (the compiled port of orp-lint
 //                        rule R5).
@@ -674,7 +674,6 @@ void checkUnorderedSerialize(const std::vector<SourceFile> &Files) {
 bool isSanctionedAtomicsFile(const std::string &Path) {
   return Path.rfind("src/support/", 0) == 0 ||
          Path == "src/telemetry/Registry.cpp" ||
-         Path == "src/traceio/TraceReplayer.cpp" ||
          Path == "src/session/SessionManager.cpp";
 }
 

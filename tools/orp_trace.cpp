@@ -42,7 +42,6 @@
 #include "support/Version.h"
 #include "telemetry/Registry.h"
 #include "trace/MetricsTicker.h"
-#include "traceio/TraceReplayer.h"
 #include "traceio/TraceWriter.h"
 #include "whomp/OmsgArchive.h"
 #include "whomp/OmsgStats.h"
@@ -483,7 +482,7 @@ int cmdReplay(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Session.eventsInjected()));
   }
 
-  // Periodic checkpoints are written from the replayer's block callback,
+  // Periodic checkpoints are written from replayFrom's block callback,
   // which runs on this thread at every block boundary.
   bool CheckpointFailed = false;
   std::function<void(uint64_t)> BlockDone;
